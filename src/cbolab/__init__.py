@@ -33,6 +33,7 @@ from .dynamics import (
     analytic_gap,
     first_crossing_time,
     gap_decay_tolerance,
+    reduced_solve,
     reduced_two_particle,
     simulate,
     step,
@@ -77,6 +78,7 @@ __all__ = [
     "oracle_linear_error",
     "oracle_nparticle_linear_error",
     "oracle_quadratic_bounds",
+    "reduced_solve",
     "reduced_two_particle",
     "simulate",
     "softmax_weights",

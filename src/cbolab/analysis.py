@@ -19,7 +19,8 @@ from .dynamics import (
     SimConfig,
     analytic_gap,
     gap_decay_tolerance,
-    reduced_two_particle,
+    reduced_solve,
+    reduced_two_particle,  # unused here; perfbench/tracing.py patches this name
     simulate,
 )
 from .objective import Objective, builtin_objective
@@ -294,15 +295,6 @@ def _least_squares_slope(us, vs):
     return slope, stderr
 
 
-def _consensus_error(obj: Objective, cfg: SimConfig) -> tuple[float, float]:
-    """(x_inf, |x_inf - x_star|) for one run, via the route matching N."""
-    if len(cfg.initial_positions) == 2:
-        out = reduced_two_particle(obj, cfg)
-    else:
-        out = simulate(obj, cfg, record_trajectory=False)
-    return out.x_inf_estimate, out.error_to_minimizer
-
-
 def _run_parallel(task, items, jobs: int):
     if jobs <= 1 or len(items) <= 1:
         return [task(item) for item in items]
@@ -339,8 +331,9 @@ def sweep_alpha(
 ) -> SweepReport:
     """Consensus error across a grid of sharpness values, with a log-log fit.
 
-    Each alpha is run with base_cfg's initial state and integrator (the exact
-    two-particle route when N = 2). The fitted slope is least squares of
+    Each alpha is solved from base_cfg's initial state by `reduced_solve`,
+    which computes the limit itself: base_cfg's dt, integrator, t_max and
+    sample_stride do not apply to sweeps. The fitted slope is least squares of
     ln(abs_error) against ln(alpha) over rows with abs_error > 10*gap_tol;
     rows at or below that level are solver noise and are excluded. Oracle
     bound columns are attached for recognized builtin setups.
@@ -356,16 +349,16 @@ def sweep_alpha(
         raise ValueError("sweep_alpha needs an objective with a known minimizer")
 
     cfgs = [base_cfg.with_alpha(a) for a in alphas]
-    results = _run_parallel(partial(_consensus_error, obj), cfgs, jobs)
+    results = _run_parallel(partial(reduced_solve, obj), cfgs, jobs)
 
     rows = []
-    for alpha, (x_inf, err) in zip(alphas, results):
+    for alpha, out in zip(alphas, results):
         lower, upper = _alpha_bounds(obj, base_cfg, alpha)
         rows.append(
             SweepRow(
                 param_value=alpha,
-                x_inf=x_inf,
-                abs_error=err,
+                x_inf=out.x_inf_estimate,
+                abs_error=out.error_to_minimizer,
                 bound_lower=lower,
                 bound_upper=upper,
             )

@@ -2,10 +2,12 @@
 
 Each of N particles moves by dx_i/dt = -lam * (x_i - m) where m is the
 weighted average of all positions under softmax weights of sharpness alpha.
-Two solvers are provided: `simulate`, a fixed-step explicit integrator for any
-N, and `reduced_two_particle`, which exploits the exact exponential decay of
-the pairwise gap to integrate a single scalar ODE in the gap variable. They
-are independent routes to the same limit and are cross-checked in the tests.
+Two solvers are provided for any N: `simulate`, a fixed-step explicit
+integrator in physical time, and `reduced_solve`, which uses the exact
+e^(-lam t) decay of every pairwise gap to reduce the system to one scalar ODE
+in the gap scale and integrates it under error control to the limit
+(`reduced_two_particle` is its N = 2 entry point). They are independent
+routes to the same limit and are cross-checked in the tests.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ __all__ = [
     "IntegrationError",
     "step",
     "simulate",
+    "reduced_solve",
     "reduced_two_particle",
     "analytic_gap",
     "gap_decay_tolerance",
@@ -117,6 +120,7 @@ class SimOutcome:
     final_positions: tuple[float, ...] = ()
     t_final: float = 0.0
     n_steps: int = 0
+    n_floor_steps: int = 0
 
 
 def _drift(obj: Objective, alpha: float, xs: list[float], lam: float):
@@ -327,159 +331,157 @@ def simulate(obj: Objective, cfg: SimConfig, record_trajectory: bool = True) -> 
     )
 
 
-def _upper_weight(obj: Objective, alpha: float, x1: float, tau: float) -> float:
-    """Weight of the upper particle of the pair (x1, x1 + tau).
+def reduced_solve(
+    obj: Objective,
+    cfg: SimConfig,
+    *,
+    rtol: float = 1e-10,
+    record_trajectory: bool = False,
+) -> SimOutcome:
+    """Limit of the N-particle system from one scalar ODE in the gap scale s.
 
-    Algebraically exp(-a f2)/(exp(-a f1)+exp(-a f2)) = 1/(1+exp(a (f2-f1))),
-    computed in that one-exponential form so only the sign of f2-f1 matters.
-    math.exp overflows just above 709, hence the +-700 cutoff.
+    Every pairwise gap decays as e^(-lam t): with s = e^(-lam t) and offsets
+    d_i = x_i(0) - min x(0), x_i = y + s d_i and dy/ds = -sum_j w_j(y + s d) d_j.
+    lam cancels (the answer is bitwise invariant under it) and only maps s
+    to time, t = ln(1/s)/lam. y is integrated from s = 1 to gap_tol/gap0 by
+    Dormand-Prince 5(4) steps held to a local error of rtol * gap0, taken as
+    the larger of the embedded estimate and the midpoint defect of the dense
+    output (one more field sample), since across a kink of f the embedded
+    estimate alone reads some 30 times low.
+
+    Steps never exceed 0.01, so particles move at most 1% of gap0 between
+    field samples even where underflowed weights make the field exactly 0.
+    Where stability holds the step down (large alpha, nonconvex f), no step
+    is smaller than its share of 400 000 field samples; a step at that floor
+    is accepted even over tolerance and counted in n_floor_steps.
+    x_inf_estimate is the final consensus point; final_positions keep the
+    input order.
     """
-    d = alpha * (obj.eval(x1 + tau) - obj.eval(x1))
-    if d > 700.0:
-        return 0.0
-    if d < -700.0:
-        return 1.0
-    return 1.0 / (1.0 + math.exp(d))
+    if not (math.isfinite(rtol) and rtol > 0.0):
+        raise ValueError(f"rtol must be positive and finite, got {rtol}")
+    xs = cfg.initial_positions
+    for x in xs:
+        if not obj.contains(x):
+            raise ValueError(
+                f"initial position {x} outside domain [{obj.domain_lo}, {obj.domain_hi}]"
+            )
+    y = min(xs)
+    gap0 = max(xs) - y
+    offsets = [x - y for x in xs]
+    # the lowest particle seeds the fold below; sorting the rest keeps the
+    # answer independent of the input order
+    upper = sorted(offsets)[1:]
+    f = obj.eval
+    alpha = cfg.alpha
+    exp = math.exp
+
+    def field(s: float, y: float) -> float:
+        """dy/ds in one pass over (best f, sum w, sum w d), weights relative to
+        the best so far and rescaled when it changes: no exponent exceeds 0."""
+        best = f(y)
+        sw = 1.0
+        swd = 0.0
+        for d in upper:
+            v = f(y + s * d)
+            if v < best:
+                r = exp(alpha * (v - best))
+                sw = sw * r + 1.0
+                swd = swd * r + d
+                best = v
+            else:
+                e = exp(alpha * (best - v))
+                sw += e
+                swd += e * d
+        return -swd / sw
+
+    if gap0 < cfg.gap_tol:
+        s_end, final_gap, t_final = 1.0, gap0, 0.0
+    else:
+        s_end, final_gap = cfg.gap_tol / gap0, cfg.gap_tol
+        t_final = math.log(gap0 / cfg.gap_tol) / cfg.lam
+    times: list[float] = []
+    states: list[tuple[float, ...]] = []
+    consensus: list[float] = []
+
+    def record(s: float, y: float, k: float) -> None:
+        times.append(t_final if s == s_end else math.log(1.0 / s) / cfg.lam)
+        states.append(tuple(y + s * d for d in offsets))
+        consensus.append(min(y - s * k, y + s * gap0))
+
+    h_min = 7 * (1.0 - s_end) / 400_000
+    h = h_max = 0.01
+    tol = rtol * gap0
+    s = 1.0
+    k1 = field(s, y)
+    if record_trajectory:
+        record(s, y, k1)
+    n_steps = n_floor_steps = 0
+    while s > s_end:
+        last = h >= s - s_end
+        if last:
+            h = s - s_end
+        k2 = field(s - 0.2 * h, y - h * 0.2 * k1)
+        k3 = field(s - 0.3 * h, y - h * (3 / 40 * k1 + 9 / 40 * k2))
+        k4 = field(s - 0.8 * h, y - h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
+        k5 = field(s - 8 / 9 * h, y - h * (19372 / 6561 * k1 - 25360 / 2187 * k2
+                                           + 64448 / 6561 * k3 - 212 / 729 * k4))
+        k6 = field(s - h, y - h * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3
+                                   + 49 / 176 * k4 - 5103 / 18656 * k5))
+        y_new = y - h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
+                         - 2187 / 6784 * k5 + 11 / 84 * k6)
+        s_new = s_end if last else s - h
+        k7 = field(s_new, y_new)
+        y_mid = y - h * (6025192743 / 60171106304 * k1 + 51252292925 / 130801643196 * k3
+                         - 2691868925 / 90256659456 * k4 + 187940372067 / 3189068634112 * k5
+                         - 1776094331 / 39487288512 * k6 + 11237099 / 470086768 * k7)
+        hermite_slope = 1.5 * (y_new - y) + 0.25 * h * (k1 + k7)
+        err = max(
+            abs(h * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4
+                     - 17253 / 339200 * k5 + 22 / 525 * k6 - 1 / 40 * k7)),
+            abs(hermite_slope + h * field(s - 0.5 * h, y_mid)),
+        )
+        if not err < math.inf:  # NaN too
+            raise IntegrationError(f"reduced solver produced a non-finite state at s={s}")
+        if err <= tol or h <= h_min:
+            n_floor_steps += err > tol
+            s, y, k1 = s_new, y_new, k7
+            n_steps += 1
+            if record_trajectory and (n_steps % cfg.sample_stride == 0 or s == s_end):
+                record(s, y, k1)
+            grow = 5.0
+        else:
+            grow = 1.0
+        if err > 0.0:
+            grow = min(grow, max(0.2, 0.9 * (tol / err) ** 0.2))
+        h = min(max(h * grow, h_min), h_max)
+
+    m = min(y - s * k1, y + s * gap0)
+    return SimOutcome(
+        x_inf_estimate=m,
+        final_gap=final_gap,
+        stop_reason="gap_converged",
+        error_to_minimizer=None if obj.known_minimizer is None else abs(m - obj.known_minimizer),
+        trajectory=Trajectory(tuple(times), tuple(states), tuple(consensus))
+        if record_trajectory
+        else None,
+        final_positions=tuple(y + s * d for d in offsets),
+        t_final=t_final,
+        n_steps=n_steps,
+        n_floor_steps=n_floor_steps,
+    )
 
 
 def reduced_two_particle(
     obj: Objective,
     cfg: SimConfig,
     *,
-    n_tau_steps: int = 100_000,
+    rtol: float = 1e-10,
     record_trajectory: bool = False,
 ) -> SimOutcome:
-    """Two-particle solver in the gap variable, exact up to quadrature error.
-
-    The pairwise gap obeys gap(t) = gap(0) e^(-lam t) exactly, so the pair is
-    fully described by the lower position x1 as a function of the gap tau:
-
-        dx1/dtau = -psi_upper(x1, x1 + tau)
-
-    integrated from tau0 = x2_0 - x1_0 down to gap_tol with fixed-step RK4
-    (step tau0/n_tau_steps, signed negative). The rate lam cancels exactly;
-    it only enters the reported times through t(tau) = ln(tau0/tau)/lam.
-    x_inf_estimate is the consensus point of the final pair, which folds the
-    sub-gap_tol remainder back in. The field lies in [-1, 0], so the march is
-    not stiff even as tau -> 0.
-    """
+    """`reduced_solve` for a particle pair."""
     if len(cfg.initial_positions) != 2:
         raise ValueError("reduced_two_particle needs exactly two initial positions")
-    if n_tau_steps < 1:
-        raise ValueError("n_tau_steps must be positive")
-    a, b = cfg.initial_positions
-    for x in (a, b):
-        if not obj.contains(x):
-            raise ValueError(
-                f"initial position {x} outside domain [{obj.domain_lo}, {obj.domain_hi}]"
-            )
-    flipped = a > b
-    x1, tau0 = (b, a - b) if flipped else (a, b - a)
-    alpha = cfg.alpha
-    lam = cfg.lam
-
-    times: list[float] = []
-    states: list[tuple[float, float]] = []
-    consensus: list[float] = []
-
-    def record(tau: float, x: float) -> None:
-        psi = _upper_weight(obj, alpha, x, tau)
-        m = x + psi * tau
-        t = 0.0 if tau >= tau0 else math.log(tau0 / tau) / lam
-        times.append(t)
-        pair = (x + tau, x) if flipped else (x, x + tau)
-        states.append(pair)
-        consensus.append(m)
-
-    if tau0 < cfg.gap_tol:
-        psi = _upper_weight(obj, alpha, x1, tau0)
-        m = x1 + psi * tau0
-        err = None
-        if obj.known_minimizer is not None:
-            err = abs(m - obj.known_minimizer)
-        if record_trajectory:
-            record(tau0, x1)
-        pair = (x1 + tau0, x1) if flipped else (x1, x1 + tau0)
-        return SimOutcome(
-            x_inf_estimate=m,
-            final_gap=tau0,
-            stop_reason="gap_converged",
-            error_to_minimizer=err,
-            trajectory=Trajectory(tuple(times), tuple(states), tuple(consensus))
-            if record_trajectory
-            else None,
-            final_positions=pair,
-            t_final=0.0,
-            n_steps=0,
-        )
-
-    h = tau0 / n_tau_steps
-    n_full = int((tau0 - cfg.gap_tol) / h)
-    tau = tau0
-    f = obj.eval
-    exp = math.exp
-
-    if record_trajectory:
-        record(tau, x1)
-    steps_done = 0
-    stride = cfg.sample_stride
-    # one signed RK4 step of size s (negative) per iteration; the stage slopes
-    # k are the psi_upper weights (in [0, 1]), so x1 moves right by
-    # |s| * (weighted k) / 6 while tau shrinks by |s|. The weight evaluations
-    # are inlined: this loop is the package's hot spot.
-    for i in range(n_full + 1):
-        if i < n_full:
-            s = -h
-        else:
-            s = cfg.gap_tol - tau  # final partial step lands exactly on gap_tol
-            if s >= 0.0:
-                break
-        half_s = 0.5 * s
-        th = tau + half_s
-        d = alpha * (f(x1 + tau) - f(x1))
-        k1 = 0.0 if d > 700.0 else 1.0 if d < -700.0 else 1.0 / (1.0 + exp(d))
-        y = x1 - half_s * k1
-        d = alpha * (f(y + th) - f(y))
-        k2 = 0.0 if d > 700.0 else 1.0 if d < -700.0 else 1.0 / (1.0 + exp(d))
-        y = x1 - half_s * k2
-        d = alpha * (f(y + th) - f(y))
-        k3 = 0.0 if d > 700.0 else 1.0 if d < -700.0 else 1.0 / (1.0 + exp(d))
-        y = x1 - s * k3
-        tg = tau + s
-        d = alpha * (f(y + tg) - f(y))
-        k4 = 0.0 if d > 700.0 else 1.0 if d < -700.0 else 1.0 / (1.0 + exp(d))
-        x1 -= s * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        tau = tg
-        steps_done += 1
-        if record_trajectory and (steps_done % stride == 0 or i == n_full):
-            if not math.isfinite(x1):
-                raise IntegrationError(
-                    f"reduced solver produced non-finite x1 at tau={tau}"
-                )
-            record(tau, x1)
-    if not math.isfinite(x1):
-        raise IntegrationError(f"reduced solver produced non-finite x1 at tau={tau}")
-
-    tau = cfg.gap_tol
-    psi = _upper_weight(obj, alpha, x1, tau)
-    m = x1 + psi * tau
-    err = None
-    if obj.known_minimizer is not None:
-        err = abs(m - obj.known_minimizer)
-    pair = (x1 + tau, x1) if flipped else (x1, x1 + tau)
-    traj = None
-    if record_trajectory:
-        traj = Trajectory(tuple(times), tuple(states), tuple(consensus))
-    return SimOutcome(
-        x_inf_estimate=m,
-        final_gap=tau,
-        stop_reason="gap_converged",
-        error_to_minimizer=err,
-        trajectory=traj,
-        final_positions=pair,
-        t_final=math.log(tau0 / tau) / lam,
-        n_steps=steps_done,
-    )
+    return reduced_solve(obj, cfg, rtol=rtol, record_trajectory=record_trajectory)
 
 
 def first_crossing_time(traj: Trajectory, x_star: float, tol: float = 1e-12) -> float | None:

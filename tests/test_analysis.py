@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +19,7 @@ from cbolab.analysis import (
     sweep_n,
     verify_invariants,
 )
-from cbolab.dynamics import SimConfig, reduced_two_particle
+from cbolab.dynamics import SimConfig, reduced_two_particle, simulate
 from cbolab.objective import Objective, builtin_objective
 
 # Closed-form values computed independently at 50 decimal digits.
@@ -334,10 +335,8 @@ class TestCertificateSoundness:
             alpha = cert.alpha0 * mult
             bound = cert.error_bound(alpha)
             for x1, x2 in pairs:
-                tau0 = x2 - x1
-                n = int(min(max(25.0 * tau0 * math.sqrt(alpha * cert.C1), 2e4), 3e5))
                 cfg = SimConfig(lam=1.0, alpha=alpha, initial_positions=(x1, x2))
-                out = reduced_two_particle(obj, cfg, n_tau_steps=n)
+                out = reduced_two_particle(obj, cfg)
                 err = abs(out.x_inf_estimate - x_star)
                 assert err <= bound, (
                     f"alpha={alpha:.6g} ics=({x1:.6g},{x2:.6g}): "
@@ -430,6 +429,19 @@ class TestSweepAlpha:
         )
         report = sweep_alpha(obj, self.base_cfg(), [10.0, 100.0], jobs=4)
         assert report.rows[0].abs_error == pytest.approx(LIN_ERR[(10.0, 1.0)], abs=1e-9)
+
+    def test_rows_are_limits_not_t_max_snapshots(self):
+        # a three-particle sweep once ran each row in physical time and cut
+        # it at t_max = 2, giving a fitted slope of -0.91; the rows are limits
+        obj = builtin_objective("quadratic", -1.0, 1.0)
+        base = self.base_cfg(initial_positions=(0.0, 0.4, 0.8), t_max=2.0)
+        report = sweep_alpha(obj, base, [10.0, 100.0, 1000.0])
+        for row in report.rows:
+            cfg = replace(base, alpha=row.param_value, t_max=None)
+            full = simulate(obj, cfg, record_trajectory=False)
+            assert full.stop_reason == "gap_converged"
+            assert row.x_inf == pytest.approx(full.x_inf_estimate, abs=1e-8)
+        assert -0.6 <= report.fitted_slope <= -0.4
 
     def test_validation(self):
         obj = builtin_objective("linear")

@@ -1,6 +1,9 @@
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbolab.dynamics import (
     IntegrationError,
@@ -11,12 +14,13 @@ from cbolab.dynamics import (
     analytic_gap,
     first_crossing_time,
     gap_decay_tolerance,
+    reduced_solve,
     reduced_two_particle,
     simulate,
     step,
     trajectory_csv,
 )
-from cbolab.objective import Objective, builtin_objective
+from cbolab.objective import BUILTIN_NAMES, Objective, builtin_objective
 
 # closed-form consensus error for the slope-1 linear objective started at
 # (minimizer, minimizer + 1), computed independently to high precision
@@ -323,8 +327,8 @@ class TestReducedTwoParticle:
         with pytest.raises(ValueError, match="exactly two"):
             reduced_two_particle(obj, cfg3)
         cfg = SimConfig(lam=1.0, alpha=1.0, initial_positions=(0.0, 1.0))
-        with pytest.raises(ValueError, match="n_tau_steps"):
-            reduced_two_particle(obj, cfg, n_tau_steps=0)
+        with pytest.raises(ValueError, match="rtol"):
+            reduced_two_particle(obj, cfg, rtol=0)
         bad = SimConfig(lam=1.0, alpha=1.0, initial_positions=(0.0, 1.5))
         with pytest.raises(ValueError, match="outside domain"):
             reduced_two_particle(obj, bad)
@@ -332,12 +336,94 @@ class TestReducedTwoParticle:
     def test_more_steps_refine_the_answer(self):
         obj = builtin_objective("double-well")
         cfg = SimConfig(lam=1.0, alpha=3e5, initial_positions=(0.6, 0.97))
-        coarse = reduced_two_particle(obj, cfg, n_tau_steps=2_000)
-        fine = reduced_two_particle(obj, cfg, n_tau_steps=200_000)
-        vfine = reduced_two_particle(obj, cfg, n_tau_steps=400_000)
-        assert abs(fine.x_inf_estimate - vfine.x_inf_estimate) <= abs(
+        coarse = reduced_two_particle(obj, cfg, rtol=1e-6)
+        fine = reduced_two_particle(obj, cfg, rtol=1e-10)
+        vfine = reduced_two_particle(obj, cfg, rtol=1e-13)
+        assert fine.n_steps > coarse.n_steps
+        assert abs(fine.x_inf_estimate - vfine.x_inf_estimate) < abs(
             coarse.x_inf_estimate - vfine.x_inf_estimate
         )
+
+
+def counting(obj):
+    """obj with an eval that counts its calls, and the one-element counter."""
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return obj.eval(x)
+
+    return replace(obj, eval=counted), calls
+
+
+# the kinked table of the acceptance criteria: a V with its minimum at 0.5
+KINKED_TABLE = (0.0, 1.0, 0.5, 0.0, 1.0, 1.0)
+
+
+class TestReducedSolve:
+    def test_matches_the_n_particle_closed_form(self):
+        cfg = SimConfig(lam=1.0, alpha=5.0, initial_positions=(0.0, 1.0, 0.0, 1.0))
+        red = reduced_solve(linear_obj(), cfg)
+        assert red.x_inf_estimate == pytest.approx(NPART_ERR_A5_N4_J2, abs=1e-10)
+        assert red.final_gap == cfg.gap_tol
+
+    @given(
+        family=st.sampled_from(BUILTIN_NAMES),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=8),
+        log_alpha=st.floats(-2.0, 3.0),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_agrees_with_simulate(self, family, fractions, log_alpha):
+        params = KINKED_TABLE if family == "custom-table" else ()
+        obj = builtin_objective(family, params=params)
+        ics = tuple(min(obj.domain_lo + u * obj.width, obj.domain_hi) for u in fractions)
+        cfg = SimConfig(lam=1.0, alpha=10.0**log_alpha, initial_positions=ics)
+        full = simulate(obj, cfg, record_trajectory=False)
+        red = reduced_solve(obj, cfg)
+        assert red.x_inf_estimate == pytest.approx(full.x_inf_estimate, abs=1e-8)
+
+    def test_kink_crossings_stay_within_tolerance(self):
+        # particles cross the kink of the V; without the midpoint defect the
+        # step error estimate reads such steps ~30 times low, missing by 1.7e-7
+        obj = builtin_objective("custom-table", params=KINKED_TABLE)
+        cfg = SimConfig(lam=1.0, alpha=2.0, initial_positions=(0.88, 0.24, 0.84))
+        ref = reduced_solve(obj, cfg, rtol=1e-13)
+        red = reduced_solve(obj, cfg)
+        assert red.x_inf_estimate == pytest.approx(ref.x_inf_estimate, abs=1e-9)
+
+    def test_lambda_drops_out_bitwise(self):
+        obj = builtin_objective("double-well")
+        ics = (0.9, 0.1, 0.6, 0.35)
+        a = reduced_solve(obj, SimConfig(lam=0.1, alpha=1e4, initial_positions=ics))
+        b = reduced_solve(obj, SimConfig(lam=10.0, alpha=1e4, initial_positions=ics))
+        assert a.x_inf_estimate == b.x_inf_estimate
+        assert a.final_positions == b.final_positions
+        assert a.t_final == pytest.approx(100.0 * b.t_final, rel=1e-12)
+
+    def test_input_order_does_not_matter(self):
+        obj = builtin_objective("rastrigin1d")
+        ics = (-2.0, -0.5, 1.0, 3.0, 4.5)
+        perm = (3.0, -2.0, 4.5, 1.0, -0.5)
+        a = reduced_solve(obj, SimConfig(lam=1.0, alpha=30.0, initial_positions=ics))
+        b = reduced_solve(obj, SimConfig(lam=1.0, alpha=30.0, initial_positions=perm))
+        assert a.x_inf_estimate == b.x_inf_estimate
+        assert dict(zip(ics, a.final_positions)) == dict(zip(perm, b.final_positions))
+
+    def test_stiff_pair_stays_within_the_fixed_march_budget(self):
+        # 800 000 evaluations is what 100 000 four-stage steps on a pair cost;
+        # at alpha = 1e9 stability holds the step at the floor
+        obj, calls = counting(builtin_objective("double-well"))
+        cfg = SimConfig(lam=1.0, alpha=1e9, initial_positions=(0.3, 0.9))
+        red = reduced_solve(obj, cfg)
+        assert calls[0] <= 800_000
+        assert red.n_floor_steps > 0
+
+    def test_smooth_pair_is_cheap_and_never_floored(self):
+        obj, calls = counting(linear_obj())
+        cfg = SimConfig(lam=1.0, alpha=10.0, initial_positions=(0.0, 1.0))
+        red = reduced_solve(obj, cfg)
+        assert calls[0] < 5_000
+        assert red.n_floor_steps == 0
 
 
 class TestTrajectoryHelpers:
