@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -302,6 +301,8 @@ def _run_parallel(task, items, jobs: int):
         pickle.dumps(task)
     except Exception:
         return [task(item) for item in items]
+    # imported here: it loads ~2 MB of multiprocessing that serial runs never use
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(task, items))
 

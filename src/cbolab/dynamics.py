@@ -351,9 +351,12 @@ def reduced_solve(
 
     Steps never exceed 0.01, so particles move at most 1% of gap0 between
     field samples even where underflowed weights make the field exactly 0.
-    Where stability holds the step down (large alpha, nonconvex f), no step
-    is smaller than its share of 400 000 field samples; a step at that floor
-    is accepted even over tolerance and counted in n_floor_steps.
+    No step is smaller than its share of 400 000 field samples, nor, where
+    the field pulls solutions together so hard that a step of 1/2500 of the
+    s range is unstable, than that step while s is above 50 of them: the pull
+    damps the error made there, so a stiff solve's cost stops growing with
+    alpha. A step at a floor is accepted even over tolerance and counted in
+    n_floor_steps.
     x_inf_estimate is the final consensus point; final_positions keep the
     input order.
     """
@@ -409,6 +412,8 @@ def reduced_solve(
         consensus.append(min(y - s * k, y + s * gap0))
 
     h_min = 7 * (1.0 - s_end) / 400_000
+    h_stiff = (1.0 - s_end) / 2500
+    stiff = False
     h = h_max = 0.01
     tol = rtol * gap0
     s = 1.0
@@ -425,8 +430,9 @@ def reduced_solve(
         k4 = field(s - 0.8 * h, y - h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
         k5 = field(s - 8 / 9 * h, y - h * (19372 / 6561 * k1 - 25360 / 2187 * k2
                                            + 64448 / 6561 * k3 - 212 / 729 * k4))
-        k6 = field(s - h, y - h * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3
-                                   + 49 / 176 * k4 - 5103 / 18656 * k5))
+        y6 = y - h * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3
+                      + 49 / 176 * k4 - 5103 / 18656 * k5)
+        k6 = field(s - h, y6)
         y_new = y - h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
                          - 2187 / 6784 * k5 + 11 / 84 * k6)
         s_new = s_end if last else s - h
@@ -442,7 +448,14 @@ def reduced_solve(
         )
         if not err < math.inf:  # NaN too
             raise IntegrationError(f"reduced solver produced a non-finite state at s={s}")
-        if err <= tol or h <= h_min:
+        # dF/dy at s_new is (k7 - k6) / (y_new - y6), and DP5 is unstable past
+        # h dF/dy = 3.3; only a step within tolerance may clear `stiff`, as an
+        # unstable step's samples can straddle the pull and read it low
+        dy = y_new - y6
+        if err <= tol or not stiff:
+            stiff = h_stiff * (k7 - k6) * dy > 3.3 * dy * dy
+        floor = h_stiff if stiff and s > 50 * h_stiff else h_min
+        if err <= tol or h <= floor:
             n_floor_steps += err > tol
             s, y, k1 = s_new, y_new, k7
             n_steps += 1
@@ -453,7 +466,7 @@ def reduced_solve(
             grow = 1.0
         if err > 0.0:
             grow = min(grow, max(0.2, 0.9 * (tol / err) ** 0.2))
-        h = min(max(h * grow, h_min), h_max)
+        h = min(max(h * grow, floor), h_max)
 
     m = min(y - s * k1, y + s * gap0)
     return SimOutcome(

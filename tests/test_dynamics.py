@@ -418,6 +418,15 @@ class TestReducedSolve:
         assert calls[0] <= 800_000
         assert red.n_floor_steps > 0
 
+    def test_stiff_pair_cost_does_not_grow_with_alpha(self):
+        # where a step of 1/2500 of the s range is unstable the step is held
+        # there, so no alpha needs many more than 2500 steps of 7 pair fields
+        for alpha in (1e5, 1e7, 1e9):
+            obj, calls = counting(builtin_objective("double-well"))
+            cfg = SimConfig(lam=1.0, alpha=alpha, initial_positions=(0.05, 0.99))
+            reduced_solve(obj, cfg)
+            assert calls[0] <= 60_000
+
     def test_smooth_pair_is_cheap_and_never_floored(self):
         obj, calls = counting(linear_obj())
         cfg = SimConfig(lam=1.0, alpha=10.0, initial_positions=(0.0, 1.0))
