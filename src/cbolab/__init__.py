@@ -31,7 +31,6 @@ from .dynamics import (
     SimOutcome,
     Trajectory,
     analytic_gap,
-    first_crossing_time,
     gap_decay_tolerance,
     reduced_solve,
     reduced_two_particle,
@@ -42,7 +41,6 @@ from .dynamics import (
 from .objective import (
     BUILTIN_NAMES,
     Objective,
-    WeightVector,
     builtin_objective,
     consensus_point,
     load_table_csv,
@@ -66,12 +64,10 @@ __all__ = [
     "SweepRow",
     "Trajectory",
     "VerifyReport",
-    "WeightVector",
     "analytic_gap",
     "builtin_objective",
     "certify_calyx",
     "consensus_point",
-    "first_crossing_time",
     "gap_decay_tolerance",
     "lipschitz_separation_bound",
     "load_table_csv",

@@ -8,6 +8,11 @@ e^(-lam t) decay of every pairwise gap to reduce the system to one scalar ODE
 in the gap scale and integrates it under error control to the limit
 (`reduced_two_particle` is its N = 2 entry point). They are independent
 routes to the same limit and are cross-checked in the tests.
+
+The five dynamical invariants of the exact flow (INVARIANT_NAMES) and their
+tolerances (`invariant_tolerances`) are defined here, once. `simulate`
+measures them at every sample, aborts when one breaks past its abort limit,
+and returns the largest residual of each on its outcome.
 """
 from __future__ import annotations
 
@@ -21,13 +26,14 @@ __all__ = [
     "Trajectory",
     "SimOutcome",
     "IntegrationError",
+    "INVARIANT_NAMES",
+    "invariant_tolerances",
     "step",
     "simulate",
     "reduced_solve",
     "reduced_two_particle",
     "analytic_gap",
     "gap_decay_tolerance",
-    "first_crossing_time",
     "trajectory_csv",
 ]
 
@@ -106,9 +112,6 @@ class Trajectory:
     states: tuple[tuple[float, ...], ...]
     consensus_values: tuple[float, ...]
 
-    def max_gaps(self) -> tuple[float, ...]:
-        return tuple(max(s) - min(s) for s in self.states)
-
 
 @dataclass(frozen=True)
 class SimOutcome:
@@ -121,6 +124,8 @@ class SimOutcome:
     t_final: float = 0.0
     n_steps: int = 0
     n_floor_steps: int = 0
+    # largest residual of each invariant, in INVARIANT_NAMES order (simulate)
+    invariant_residuals: tuple[float, ...] = ()
 
 
 def _drift(obj: Objective, alpha: float, xs: list[float], lam: float):
@@ -213,15 +218,55 @@ def gap_decay_tolerance(integrator: str, gap0: float, lam: float, dt: float) -> 
     return max(1e-8, 0.5 * gap0 * lam * dt)
 
 
+# Identities of the exact flow, in report order. Each residual is a violation
+# amount, 0 when the identity holds exactly:
+#   gap_decay              |gap(t) - gap0 e^(-lam t)|
+#   order_preservation     how far a particle fell below one that started below it
+#   consensus_containment  distance of the consensus point outside the hull
+#   average_bound          |mean(t)| - (|mean0| + gap0 (1 - e^(-lam t)))
+#   uniform_bound          max |x_i(t)| - (|mean0| + gap0)
+INVARIANT_NAMES = (
+    "gap_decay",
+    "order_preservation",
+    "consensus_containment",
+    "average_bound",
+    "uniform_bound",
+)
+# simulate aborts on a residual past this multiple of its tolerance (never
+# for the average bound), and on any non-finite residual
+_ABORT_FACTORS = (10.0, 1.0, 1.0, math.inf, 1.0)
+
+
+def invariant_tolerances(cfg: SimConfig) -> tuple[float, ...]:
+    """Tolerance of each invariant for a run of cfg, in INVARIANT_NAMES order.
+
+    Gap decay allows the scheme's truncation error and the uniform bound a
+    margin of 10 dt; the other identities hold up to rounding.
+    """
+    xs = cfg.initial_positions
+    gap0 = max(xs) - min(xs)
+    dt = cfg.dt_value
+    return (
+        gap_decay_tolerance(cfg.integrator, gap0, cfg.lam, dt),
+        1e-12 * max(1.0, gap0),
+        1e-12,
+        1e-8,
+        10.0 * dt,
+    )
+
+
 def simulate(obj: Objective, cfg: SimConfig, record_trajectory: bool = True) -> SimOutcome:
     """Integrate the N-particle system until the max gap falls below gap_tol.
 
     Returns the consensus point of the final state as x_inf_estimate (any
     convex combination of the final positions is within gap_tol of the true
-    limit once the ensemble has collapsed that far). Dynamical identities
-    (exact gap decay, order preservation, uniform bounds, hull containment)
-    are asserted at every sampled time; a violation beyond the integrator's
-    tolerance raises IntegrationError.
+    limit once the ensemble has collapsed that far). The five invariants of
+    INVARIANT_NAMES are measured at t = 0, at every sample_stride-th step and
+    at the final state, and the largest residual of each is returned as
+    invariant_residuals. A residual past its abort limit raises
+    IntegrationError: 10x its tolerance for gap decay, 1x for order, hull
+    containment and the uniform bound, never for the average bound, and
+    always when it is not finite, as for a NaN state.
     """
     xs = [float(x) for x in cfg.initial_positions]
     for x in xs:
@@ -237,13 +282,11 @@ def simulate(obj: Objective, cfg: SimConfig, record_trajectory: bool = True) -> 
     stepper = _rk4_step if cfg.integrator == "rk4" else _euler_step
 
     n = len(xs)
-    mean0 = math.fsum(xs) / n
+    abs_mean0 = abs(math.fsum(xs) / n)
     gap0 = max(xs) - min(xs)
-    # |x_i(t)| <= |mean0| + gap0 for the exact flow; 10*dt covers scheme error
-    hard_bound = abs(mean0) + gap0 + 10.0 * dt
-    gap_tol_decay = 10.0 * gap_decay_tolerance(cfg.integrator, gap0, lam, dt)
     order0 = sorted(range(n), key=xs.__getitem__)
-    order_tol = 1e-12 * max(1.0, gap0)
+    limits = [f * tol for f, tol in zip(_ABORT_FACTORS, invariant_tolerances(cfg))]
+    residuals = [0.0] * len(INVARIANT_NAMES)
 
     times: list[float] = []
     states: list[tuple[float, ...]] = []
@@ -253,35 +296,37 @@ def simulate(obj: Objective, cfg: SimConfig, record_trajectory: bool = True) -> 
         _, m = _drift(obj, alpha, state, lam)
         return m
 
-    def check_sample(t: float, state: list[float], m: float) -> None:
-        for x in state:
-            if not (-hard_bound <= x <= hard_bound):  # catches NaN too
-                raise IntegrationError(
-                    f"uniform bound broken at t={t}: |{x}| > {hard_bound}"
-                )
-        gap = max(state) - min(state)
-        if abs(gap - analytic_gap(gap0, lam, t)) > gap_tol_decay:
-            raise IntegrationError(
-                f"gap decay broken at t={t}: gap={gap}, "
-                f"expected {analytic_gap(gap0, lam, t)}"
-            )
+    def measure(t: float, state: list[float], m: float) -> None:
+        lo = min(state)
+        hi = max(state)
+        order = 0.0
         prev = -math.inf
         for i in order0:
-            if state[i] < prev - order_tol:
-                raise IntegrationError(f"particle order changed at t={t}")
+            if state[i] < prev:
+                order = max(order, prev - state[i])
             prev = max(prev, state[i])
-        if not min(state) <= m <= max(state):
-            raise IntegrationError(f"consensus point left the hull at t={t}")
-
-    def record(t: float, state: list[float], m: float) -> None:
-        check_sample(t, state, m)
+        sample = (
+            abs(hi - lo - analytic_gap(gap0, lam, t)),
+            order,
+            max(lo - m, m - hi, 0.0),
+            abs(math.fsum(state) / n) - (abs_mean0 + gap0 * (1.0 - math.exp(-lam * t))),
+            max(abs(lo), abs(hi)) - (abs_mean0 + gap0),
+        )
+        for i, r in enumerate(sample):
+            if r > limits[i] or not math.isfinite(r):
+                raise IntegrationError(
+                    f"{INVARIANT_NAMES[i]} broken at t={t}: residual {r:.6g}, "
+                    f"limit {limits[i]:.6g}"
+                )
+            if r > residuals[i]:
+                residuals[i] = r
         if record_trajectory:
             times.append(t)
             states.append(tuple(state))
             consensus.append(m)
 
     m = consensus_of(xs)
-    record(0.0, xs, m)
+    measure(0.0, xs, m)
 
     k = 0
     gap = gap0
@@ -301,17 +346,15 @@ def simulate(obj: Objective, cfg: SimConfig, record_trajectory: bool = True) -> 
                 stop_reason = "gap_converged"
                 break
             if sampled:
-                record(t, xs, consensus_of(xs))
+                measure(t, xs, consensus_of(xs))
             if t >= t_max:
                 break
 
     t_final = k * dt
     m_final = consensus_of(xs)
-    # final state is always recorded (once)
+    # the final state is always measured, and recorded once
     if not times or times[-1] != t_final:
-        record(t_final, xs, m_final)
-    else:
-        check_sample(t_final, xs, m_final)
+        measure(t_final, xs, m_final)
 
     err = None
     if obj.known_minimizer is not None:
@@ -328,6 +371,7 @@ def simulate(obj: Objective, cfg: SimConfig, record_trajectory: bool = True) -> 
         final_positions=tuple(xs),
         t_final=t_final,
         n_steps=k,
+        invariant_residuals=tuple(residuals),
     )
 
 
@@ -495,24 +539,6 @@ def reduced_two_particle(
     if len(cfg.initial_positions) != 2:
         raise ValueError("reduced_two_particle needs exactly two initial positions")
     return reduced_solve(obj, cfg, rtol=rtol, record_trajectory=record_trajectory)
-
-
-def first_crossing_time(traj: Trajectory, x_star: float, tol: float = 1e-12) -> float | None:
-    """First sampled time at which any particle sits strictly past x_star.
-
-    A particle crosses when it started on one side of x_star and a sample puts
-    it on the other side by more than tol. Returns None if no sample crosses.
-    """
-    if not traj.states:
-        return None
-    start = traj.states[0]
-    for t, state in zip(traj.times, traj.states):
-        for x0, x in zip(start, state):
-            if x0 < x_star and x > x_star + tol:
-                return t
-            if x0 > x_star and x < x_star - tol:
-                return t
-    return None
 
 
 def trajectory_csv(traj: Trajectory) -> str:

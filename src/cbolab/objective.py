@@ -11,13 +11,12 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
 __all__ = [
     "Objective",
-    "WeightVector",
     "BUILTIN_NAMES",
     "builtin_objective",
     "table_objective",
@@ -78,22 +77,6 @@ class Objective:
 
     def contains(self, x: float, slack: float = 0.0) -> bool:
         return self.domain_lo - slack <= x <= self.domain_hi + slack
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Softmax weights of a particle ensemble; entries are in [0, 1] and sum to 1."""
-
-    psi: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.psi)
-
-    def __iter__(self):
-        return iter(self.psi)
-
-    def __getitem__(self, i: int) -> float:
-        return self.psi[i]
 
 
 # --- builtin families ------------------------------------------------------
@@ -364,10 +347,10 @@ def softmax_weights(fvalues: Sequence[float], alpha: float) -> list[float]:
     return [e / total for e in exps]
 
 
-def weights(obj: Objective, alpha: float, positions: Sequence[float]) -> WeightVector:
+def weights(obj: Objective, alpha: float, positions: Sequence[float]) -> tuple[float, ...]:
     """Softmax weights of particles at the given positions under obj.
 
-    Raises ValueError for an empty ensemble, a negative or non-finite alpha,
+    Entries are in [0, 1] and sum to 1. Raises ValueError for an empty ensemble, a negative or non-finite alpha,
     positions outside the domain, or non-finite objective values.
     """
     if len(positions) == 0:
@@ -384,10 +367,10 @@ def weights(obj: Objective, alpha: float, positions: Sequence[float]) -> WeightV
         if not math.isfinite(v):
             raise ValueError(f"weights: objective value at {x} is not finite")
         fvals.append(v)
-    return WeightVector(psi=tuple(softmax_weights(fvals, alpha)))
+    return tuple(softmax_weights(fvals, alpha))
 
 
-def consensus_point(positions: Sequence[float], w: WeightVector) -> float:
+def consensus_point(positions: Sequence[float], w: Sequence[float]) -> float:
     """Weighted average of positions; always lies in their closed hull."""
     if len(positions) != len(w):
         raise ValueError(

@@ -540,6 +540,8 @@ class TestVerifyInvariants:
         assert by_name["order_preservation"].residual == 0.0
         assert by_name["consensus_containment"].residual == 0.0
         assert by_name["average_bound"].residual <= 1e-8
+        out = simulate(obj, cfg, record_trajectory=False)
+        assert out.invariant_residuals == tuple(c.residual for c in report.checks)
 
     def test_euler_residual_scales_linearly_in_dt(self):
         obj = builtin_objective("linear")
@@ -565,6 +567,8 @@ class TestVerifyInvariants:
         assert report.all_passed
         for check in report.checks:
             assert check.residual == 0.0, check.name
+        out = simulate(obj, cfg, record_trajectory=False)
+        assert out.invariant_residuals == tuple(c.residual for c in report.checks)
 
     def test_aborted_integration_reports_a_failed_check(self):
         def landmine(x: float) -> float:

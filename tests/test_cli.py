@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 import textwrap
 
 import pytest
 
+import cbolab
 from cbolab.cli import ConfigError, main, parse_config
 
 SIM_LINEAR = """
@@ -412,6 +416,29 @@ class TestVerifyCommand:
         assert rc == 1
         assert "stability" in capsys.readouterr().err
 
+    def test_failing_invariant_is_reported_not_aborted(self, tmp_path, capsys):
+        # coarse Euler steps break the average bound, which never aborts a run
+        text = """
+            [objective]
+            name = linear
+            domain = -1 1
+
+            [sim]
+            lambda = 1
+            alpha = 1000
+            positions = -1 0.25 0.25 0.25 0.25
+            integrator = euler
+            dt = 0.5
+            sample_stride = 1
+        """
+        rc = main(["verify", "--config", cfg_file(tmp_path, text)])
+        assert rc == 2
+        lines = lines_of(capsys)
+        assert len(lines) == 5
+        assert lines[3].startswith("average_bound: FAIL residual=0.00816332 ")
+        assert sum(": PASS " in line for line in lines) == 4
+        assert not any(line.startswith("integration") for line in lines)
+
 
 class TestArgumentErrors:
     def test_missing_subcommand(self):
@@ -426,3 +453,18 @@ class TestArgumentErrors:
         rc = main(["simulate", "--config", "/nonexistent/cfg.ini"])
         assert rc == 1
         assert "not found" in capsys.readouterr().err
+
+
+def test_import_loads_no_pool_or_third_party_modules():
+    # the runtime is stdlib-only, and sweeps import the process pool lazily
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cbolab.__file__)))
+    code = (
+        "import sys, cbolab; "
+        "print(*[m for m in ('multiprocessing', 'concurrent.futures', 'numpy', 'scipy') "
+        "if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == ""

@@ -12,7 +12,6 @@ from cbolab.dynamics import (
     Trajectory,
     _police_domain,
     analytic_gap,
-    first_crossing_time,
     gap_decay_tolerance,
     reduced_solve,
     reduced_two_particle,
@@ -159,8 +158,8 @@ class TestSimulate:
         traj = out.trajectory
         tol = gap_decay_tolerance("rk4", 3.0, cfg.lam, cfg.dt_value)
         worst = max(
-            abs(g - analytic_gap(3.0, cfg.lam, t))
-            for t, g in zip(traj.times, traj.max_gaps())
+            abs(max(s) - min(s) - analytic_gap(3.0, cfg.lam, t))
+            for t, s in zip(traj.times, traj.states)
         )
         assert worst <= tol
 
@@ -442,25 +441,6 @@ class TestTrajectoryHelpers:
             states=((0.0, 1.0), (0.4, 0.9), (0.6, 0.8)),
             consensus_values=(0.5, 0.65, 0.7),
         )
-
-    def test_first_crossing_detects_the_lower_particle(self):
-        traj = self._toy_traj()
-        # the lower particle starts below 0.5 and first exceeds it at t=2
-        assert first_crossing_time(traj, 0.5) == 2.0
-
-    def test_no_crossing_returns_none(self):
-        traj = self._toy_traj()
-        assert first_crossing_time(traj, 2.0) is None
-        assert first_crossing_time(Trajectory((), (), ()), 0.5) is None
-
-    def test_crossing_respects_the_tolerance(self):
-        traj = Trajectory(
-            times=(0.0, 1.0),
-            states=((0.0, 1.0), (0.5 + 1e-13, 1.0)),
-            consensus_values=(0.5, 0.75),
-        )
-        assert first_crossing_time(traj, 0.5) is None  # within tol, not a crossing
-        assert first_crossing_time(traj, 0.5, tol=1e-14) == 1.0
 
     def test_csv_layout(self):
         traj = self._toy_traj()

@@ -252,7 +252,7 @@ class TestWeightsValidation:
     def test_single_particle_gets_full_weight(self):
         obj = builtin_objective("linear")
         w = weights(obj, 7.0, [0.3])
-        assert w.psi == (1.0,)
+        assert w == (1.0,)
 
 
 class TestConsensusPoint:
@@ -277,7 +277,5 @@ class TestConsensusPoint:
     @settings(max_examples=100)
     def test_always_inside_hull(self, positions, alpha):
         w = softmax_weights([abs(p) for p in positions], alpha)
-        from cbolab.objective import WeightVector
-
-        m = consensus_point(positions, WeightVector(psi=tuple(w)))
+        m = consensus_point(positions, tuple(w))
         assert min(positions) <= m <= max(positions)
