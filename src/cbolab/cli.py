@@ -183,7 +183,7 @@ def _out_path(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: str, full_trajectory: bool, emit_plot: bool) -> int:
+def cmd_simulate(cfg: ExperimentConfig, out_dir: str, full_trajectory: bool) -> int:
     sim = cfg.sim
     if full_trajectory:
         sim = replace(sim, sample_stride=1)
@@ -284,29 +284,33 @@ def main(argv=None) -> int:
     for name in ("simulate", "sweep-alpha", "sweep-n", "certify", "verify"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the INI config file")
-        p.add_argument("--out", default=".", help="output directory for CSV artifacts")
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=os.cpu_count() or 1,
-            help="max parallel runs for sweeps",
-        )
-        p.add_argument(
-            "--emit-plot-data",
-            action="store_true",
-            help="also write two-column plot files",
-        )
-        p.add_argument(
-            "--trajectory",
-            action="store_true",
-            help="record the trajectory at every step instead of the configured stride",
-        )
+        if name != "verify":
+            p.add_argument("--out", default=".", help="output directory for CSV artifacts")
+        if name in ("sweep-alpha", "sweep-n"):
+            p.add_argument(
+                "--jobs",
+                type=int,
+                default=os.cpu_count() or 1,
+                help="max parallel runs for sweeps",
+            )
+        if name in ("sweep-alpha", "sweep-n", "certify"):
+            p.add_argument(
+                "--emit-plot-data",
+                action="store_true",
+                help="also write two-column plot files",
+            )
+        if name == "simulate":
+            p.add_argument(
+                "--trajectory",
+                action="store_true",
+                help="record the trajectory at every step instead of the configured stride",
+            )
     args = parser.parse_args(argv)
 
     try:
         cfg = parse_config(args.config, args.command)
         if args.command == "simulate":
-            return cmd_simulate(cfg, args.out, args.trajectory, args.emit_plot_data)
+            return cmd_simulate(cfg, args.out, args.trajectory)
         if args.command in ("sweep-alpha", "sweep-n"):
             return cmd_sweep(cfg, args.command, args.out, args.jobs, args.emit_plot_data)
         if args.command == "certify":

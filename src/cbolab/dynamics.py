@@ -13,6 +13,10 @@ The five dynamical invariants of the exact flow (INVARIANT_NAMES) and their
 tolerances (`invariant_tolerances`) are defined here, once. `simulate`
 measures them at every sample, aborts when one breaks past its abort limit,
 and returns the largest residual of each on its outcome.
+
+One stepping routine, `_advance`, serves `step` and `simulate`. It starts
+from a drift the caller has taken, so `simulate` takes each state's drift
+once, for both the state's sample and the step that leaves it.
 """
 from __future__ import annotations
 
@@ -148,24 +152,22 @@ def _drift(obj: Objective, alpha: float, xs: list[float], lam: float):
     return [lam * (m - x) for x in xs], m
 
 
-def _euler_step(obj: Objective, alpha: float, lam: float, xs: list[float], dt: float):
-    k1, m = _drift(obj, alpha, xs, lam)
-    return [x + dt * v for x, v in zip(xs, k1)], m
-
-
-def _rk4_step(obj: Objective, alpha: float, lam: float, xs: list[float], dt: float):
-    k1, m = _drift(obj, alpha, xs, lam)
+def _advance(obj: Objective, alpha: float, lam: float, xs: list[float], k1: list[float],
+             dt: float, rk4: bool) -> list[float]:
+    """One explicit step of size dt from state xs, whose drift k1 the caller
+    has already taken: classical RK4, or Euler as its one-stage case."""
+    if not rk4:
+        return [x + dt * v for x, v in zip(xs, k1)]
     y = [x + 0.5 * dt * v for x, v in zip(xs, k1)]
     k2, _ = _drift(obj, alpha, y, lam)
     y = [x + 0.5 * dt * v for x, v in zip(xs, k2)]
     k3, _ = _drift(obj, alpha, y, lam)
     y = [x + dt * v for x, v in zip(xs, k3)]
     k4, _ = _drift(obj, alpha, y, lam)
-    xs = [
+    return [
         x + dt * (a + 2.0 * b + 2.0 * c + d) / 6.0
         for x, a, b, c, d in zip(xs, k1, k2, k3, k4)
     ]
-    return xs, m
 
 
 def step(obj: Objective, cfg: SimConfig, positions) -> list[float]:
@@ -174,9 +176,10 @@ def step(obj: Objective, cfg: SimConfig, positions) -> list[float]:
     for x in xs:
         if not obj.contains(x, slack=_DOMAIN_SLACK):
             raise ValueError(f"position {x} outside domain [{obj.domain_lo}, {obj.domain_hi}]")
-    stepper = _rk4_step if cfg.integrator == "rk4" else _euler_step
-    new, _ = stepper(obj, cfg.alpha, cfg.lam, xs, cfg.dt_value)
-    return _police_domain(obj, new)
+    k1, _ = _drift(obj, cfg.alpha, xs, cfg.lam)
+    return _police_domain(
+        obj, _advance(obj, cfg.alpha, cfg.lam, xs, k1, cfg.dt_value, cfg.integrator == "rk4")
+    )
 
 
 def _police_domain(obj: Objective, xs: list[float]) -> list[float]:
@@ -267,6 +270,11 @@ def simulate(obj: Objective, cfg: SimConfig, record_trajectory: bool = True) -> 
     IntegrationError: 10x its tolerance for gap decay, 1x for order, hull
     containment and the uniform bound, never for the average bound, and
     always when it is not finite, as for a NaN state.
+
+    Each state's drift is taken once and gives both the consensus point of
+    its sample and the first stage of the step that leaves it, so n_steps
+    RK4 steps make N * (4 * n_steps + 1) objective evaluations and Euler
+    steps N * (n_steps + 1), at any sample_stride.
     """
     xs = [float(x) for x in cfg.initial_positions]
     for x in xs:
@@ -279,7 +287,7 @@ def simulate(obj: Objective, cfg: SimConfig, record_trajectory: bool = True) -> 
     t_max = cfg.t_max_value
     lam = cfg.lam
     alpha = cfg.alpha
-    stepper = _rk4_step if cfg.integrator == "rk4" else _euler_step
+    rk4 = cfg.integrator == "rk4"
 
     n = len(xs)
     abs_mean0 = abs(math.fsum(xs) / n)
@@ -292,84 +300,56 @@ def simulate(obj: Objective, cfg: SimConfig, record_trajectory: bool = True) -> 
     states: list[tuple[float, ...]] = []
     consensus: list[float] = []
 
-    def consensus_of(state: list[float]) -> float:
-        _, m = _drift(obj, alpha, state, lam)
-        return m
-
-    def measure(t: float, state: list[float], m: float) -> None:
-        lo = min(state)
-        hi = max(state)
-        order = 0.0
-        prev = -math.inf
-        for i in order0:
-            if state[i] < prev:
-                order = max(order, prev - state[i])
-            prev = max(prev, state[i])
-        sample = (
-            abs(hi - lo - analytic_gap(gap0, lam, t)),
-            order,
-            max(lo - m, m - hi, 0.0),
-            abs(math.fsum(state) / n) - (abs_mean0 + gap0 * (1.0 - math.exp(-lam * t))),
-            max(abs(lo), abs(hi)) - (abs_mean0 + gap0),
-        )
-        for i, r in enumerate(sample):
-            if r > limits[i] or not math.isfinite(r):
-                raise IntegrationError(
-                    f"{INVARIANT_NAMES[i]} broken at t={t}: residual {r:.6g}, "
-                    f"limit {limits[i]:.6g}"
-                )
-            if r > residuals[i]:
-                residuals[i] = r
-        if record_trajectory:
-            times.append(t)
-            states.append(tuple(state))
-            consensus.append(m)
-
-    m = consensus_of(xs)
-    measure(0.0, xs, m)
-
+    max_steps = math.ceil(t_max / dt)
     k = 0
-    gap = gap0
-    stop_reason = "t_max_reached"
-    if gap < cfg.gap_tol:
-        stop_reason = "gap_converged"
-    else:
-        max_steps = int(math.ceil(t_max / dt))
-        while k < max_steps:
-            xs, _ = stepper(obj, alpha, lam, xs, dt)
-            xs = _police_domain(obj, xs)
-            k += 1
-            t = k * dt
-            sampled = k % cfg.sample_stride == 0
-            gap = max(xs) - min(xs)
-            if gap < cfg.gap_tol:
-                stop_reason = "gap_converged"
-                break
-            if sampled:
-                measure(t, xs, consensus_of(xs))
-            if t >= t_max:
-                break
+    while True:
+        k1, m = _drift(obj, alpha, xs, lam)
+        t = k * dt
+        lo = min(xs)
+        hi = max(xs)
+        converged = hi - lo < cfg.gap_tol
+        final = converged or k >= max_steps or t >= t_max
+        if final or k % cfg.sample_stride == 0:
+            order = 0.0
+            prev = -math.inf
+            for i in order0:
+                if xs[i] < prev:
+                    order = max(order, prev - xs[i])
+                prev = max(prev, xs[i])
+            sample = (
+                abs(hi - lo - analytic_gap(gap0, lam, t)),
+                order,
+                max(lo - m, m - hi, 0.0),
+                abs(math.fsum(xs) / n) - (abs_mean0 + gap0 * (1.0 - math.exp(-lam * t))),
+                max(abs(lo), abs(hi)) - (abs_mean0 + gap0),
+            )
+            for i, r in enumerate(sample):
+                if r > limits[i] or not math.isfinite(r):
+                    raise IntegrationError(
+                        f"{INVARIANT_NAMES[i]} broken at t={t}: residual {r:.6g}, "
+                        f"limit {limits[i]:.6g}"
+                    )
+                if r > residuals[i]:
+                    residuals[i] = r
+            if record_trajectory:
+                times.append(t)
+                states.append(tuple(xs))
+                consensus.append(m)
+        if final:
+            break
+        xs = _police_domain(obj, _advance(obj, alpha, lam, xs, k1, dt, rk4))
+        k += 1
 
-    t_final = k * dt
-    m_final = consensus_of(xs)
-    # the final state is always measured, and recorded once
-    if not times or times[-1] != t_final:
-        measure(t_final, xs, m_final)
-
-    err = None
-    if obj.known_minimizer is not None:
-        err = abs(m_final - obj.known_minimizer)
-    traj = None
-    if record_trajectory:
-        traj = Trajectory(tuple(times), tuple(states), tuple(consensus))
     return SimOutcome(
-        x_inf_estimate=m_final,
-        final_gap=max(xs) - min(xs),
-        stop_reason=stop_reason,
-        error_to_minimizer=err,
-        trajectory=traj,
+        x_inf_estimate=m,
+        final_gap=hi - lo,
+        stop_reason="gap_converged" if converged else "t_max_reached",
+        error_to_minimizer=None if obj.known_minimizer is None else abs(m - obj.known_minimizer),
+        trajectory=Trajectory(tuple(times), tuple(states), tuple(consensus))
+        if record_trajectory
+        else None,
         final_positions=tuple(xs),
-        t_final=t_final,
+        t_final=t,
         n_steps=k,
         invariant_residuals=tuple(residuals),
     )

@@ -6,6 +6,7 @@ import textwrap
 import pytest
 
 import cbolab
+from cbolab._files import write_text_atomic
 from cbolab.cli import ConfigError, main, parse_config
 
 SIM_LINEAR = """
@@ -449,6 +450,22 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit):
             main(["simulate"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--jobs", "2"],
+            ["verify", "--out", "o"],
+            ["simulate", "--emit-plot-data"],
+            ["simulate", "--jobs", "2"],
+            ["certify", "--trajectory"],
+            ["sweep-n", "--trajectory"],
+        ],
+    )
+    def test_flag_on_a_subcommand_that_ignores_it(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(argv + ["--config", "cfg.ini"])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_bad_config_path_exits_1(self, capsys):
         rc = main(["simulate", "--config", "/nonexistent/cfg.ini"])
         assert rc == 1
@@ -468,3 +485,14 @@ def test_import_loads_no_pool_or_third_party_modules():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert run.stdout.strip() == ""
+
+
+def test_csv_gets_the_mode_of_a_plain_write(tmp_path):
+    old = os.umask(0o022)
+    try:
+        write_text_atomic(str(tmp_path / "out.csv"), "a,b\n")
+        with open(tmp_path / "plain.csv", "w") as fh:
+            fh.write("a,b\n")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "out.csv").stat().st_mode == (tmp_path / "plain.csv").stat().st_mode

@@ -107,6 +107,18 @@ class TestStep:
         with pytest.raises(ValueError, match="outside domain"):
             step(obj, cfg, (0.0, 1.5))
 
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    def test_step_is_the_first_step_of_simulate(self, integrator):
+        obj = builtin_objective("double-well")
+        cfg = SimConfig(
+            lam=2.0, alpha=30.0, initial_positions=(0.1, 0.5, 0.9),
+            integrator=integrator, dt=0.05, sample_stride=1,
+        )
+        first = simulate(obj, cfg).trajectory.states[1]
+        assert [x.hex() for x in step(obj, cfg, cfg.initial_positions)] == [
+            x.hex() for x in first
+        ]
+
     def test_police_domain_clamps_rounding_but_rejects_excursions(self):
         obj = linear_obj()
         assert _police_domain(obj, [-1e-12, 1.0]) == [0.0, 1.0]
@@ -239,6 +251,20 @@ class TestSimulate:
         cfg = SimConfig(lam=1.0, alpha=1.0, initial_positions=(0.0, 1.0))
         with pytest.raises(IntegrationError):
             simulate(obj, cfg, record_trajectory=False)
+
+    @pytest.mark.parametrize("integrator, stages", [("rk4", 4), ("euler", 1)])
+    @pytest.mark.parametrize("stride", [1, 10])
+    def test_each_state_takes_one_drift(self, integrator, stages, stride):
+        # the drift that gives a state's consensus point for its sample is
+        # also the first stage of the step that leaves it
+        obj, calls = counting(linear_obj())
+        cfg = SimConfig(
+            lam=1.0, alpha=10.0, initial_positions=(0.0, 1.0),
+            integrator=integrator, dt=0.01, sample_stride=stride,
+        )
+        out = simulate(obj, cfg)
+        assert out.n_steps > 1000
+        assert calls[0] == 2 * (stages * out.n_steps + 1)
 
     def test_sampling_grid_and_final_state(self):
         obj = linear_obj()
