@@ -14,16 +14,18 @@ tolerances (`invariant_tolerances`) are defined here, once. `simulate`
 measures them at every sample, aborts when one breaks past its abort limit,
 and returns the largest residual of each on its outcome.
 
+Both solvers take every consensus point from one kernel, `_pull_of`: one
+stable pass over the particles that never exponentiates a positive number.
 One stepping routine, `_advance`, serves `step` and `simulate`. It starts
-from a drift the caller has taken, so `simulate` takes each state's drift
-once, for both the state's sample and the step that leaves it.
+from the consensus point the caller has taken, so `simulate` takes each
+state's consensus point once, for its sample and the step that leaves it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 
-from .objective import Objective, softmax_weights
+from .objective import Objective, softmax_weights  # unused; perfbench's tracer patches it
 
 __all__ = [
     "SimConfig",
@@ -93,6 +95,8 @@ class SimConfig:
             raise ValueError(f"gap_tol must be positive, got {self.gap_tol}")
         if self.t_max is not None and not (math.isfinite(self.t_max) and self.t_max > 0.0):
             raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if not math.isfinite(self.t_max_value / self.dt_value):
+            raise ValueError(f"dt = {self.dt_value} is too small: t_max/dt overflows")
         if int(self.sample_stride) != self.sample_stride or self.sample_stride < 1:
             raise ValueError(f"sample_stride must be a positive integer, got {self.sample_stride}")
 
@@ -132,42 +136,55 @@ class SimOutcome:
     invariant_residuals: tuple[float, ...] = ()
 
 
-def _drift(obj: Objective, alpha: float, xs: list[float], lam: float):
-    """Velocities -lam*(x_i - m) and the consensus point m at state xs.
+def _pull_of(f, alpha: float, ds):
+    """The consensus kernel: pull(scale, base) is the mean of ds under softmax
+    weights of f at the points base + scale * d. One pass, seeded by the first
+    point, keeps the best f, the weight sum and the weighted sum, rescaled when
+    the best changes, so no exponent exceeds 0 (Milakov & Gimelshein,
+    arXiv:1805.02867). Objective values are taken as-is: stages can sit a
+    rounding error outside the domain, and a NaN value makes the mean NaN."""
+    exp = math.exp
+    d0, rest = ds[0], ds[1:]
 
-    Objective values are taken as-is (no domain check): integrator stages can
-    sit a rounding error outside the domain and every builtin evaluates fine
-    there. The consensus point is clamped into the hull of xs so that rounding
-    in the weighted sum can never push it outside.
-    """
-    fvals = [obj.eval(x) for x in xs]
-    w = softmax_weights(fvals, alpha)
-    m = math.fsum(wi * xi for wi, xi in zip(w, xs))
-    lo = min(xs)
-    hi = max(xs)
-    if m < lo:
-        m = lo
-    elif m > hi:
-        m = hi
-    return [lam * (m - x) for x in xs], m
+    def pull(scale: float, base: float) -> float:
+        best = f(base + scale * d0)
+        sw = 1.0
+        swd = d0
+        for d in rest:
+            v = f(base + scale * d)
+            if v < best:
+                r = exp(alpha * (v - best))
+                sw = sw * r + 1.0
+                swd = swd * r + d
+                best = v
+            else:
+                e = exp(alpha * (best - v))
+                sw += e
+                swd += e * d
+        return swd / sw
+
+    return pull
 
 
-def _advance(obj: Objective, alpha: float, lam: float, xs: list[float], k1: list[float],
-             dt: float, rk4: bool) -> list[float]:
-    """One explicit step of size dt from state xs, whose drift k1 the caller
-    has already taken: classical RK4, or Euler as its one-stage case."""
-    if not rk4:
-        return [x + dt * v for x, v in zip(xs, k1)]
-    y = [x + 0.5 * dt * v for x, v in zip(xs, k1)]
-    k2, _ = _drift(obj, alpha, y, lam)
-    y = [x + 0.5 * dt * v for x, v in zip(xs, k2)]
-    k3, _ = _drift(obj, alpha, y, lam)
-    y = [x + dt * v for x, v in zip(xs, k3)]
-    k4, _ = _drift(obj, alpha, y, lam)
-    return [
-        x + dt * (a + 2.0 * b + 2.0 * c + d) / 6.0
-        for x, a, b, c, d in zip(xs, k1, k2, k3, k4)
-    ]
+def _advance(pull, xs: list[float], m: float, c: float, rk4: bool) -> list[float]:
+    """One explicit step, c = dt * lam, from state xs, whose kernel pull and
+    consensus point m the caller has taken: classical RK4, or Euler as its
+    one-stage case. Every stage velocity is lam * (m_y - y), so every stage
+    is y = x + a * (mu - x) for scalars a and mu, pull(1 - a, a * mu) is the
+    mean of xs under that stage's weights, and the whole step is again
+    x + c * (m - x), with m a convex combination of the stage means."""
+    if rk4:
+        a2 = 0.5 * c
+        m2 = pull(1.0 - a2, a2 * m)
+        a3 = a2 * (1.0 - a2)
+        m3 = pull(1.0 - a3, a3 * m2)
+        a4 = c * (1.0 - a3)
+        m4 = pull(1.0 - a4, a4 * m3)
+        p2, p3, p4 = 2.0 * (1.0 - a2), 2.0 * (1.0 - a3), 1.0 - a4
+        w = 1.0 + p2 + p3 + p4
+        m += (p2 * (m2 - m) + p3 * (m3 - m) + p4 * (m4 - m)) / w
+        c *= w / 6.0
+    return [x + c * (m - x) for x in xs]
 
 
 def step(obj: Objective, cfg: SimConfig, positions) -> list[float]:
@@ -176,9 +193,10 @@ def step(obj: Objective, cfg: SimConfig, positions) -> list[float]:
     for x in xs:
         if not obj.contains(x, slack=_DOMAIN_SLACK):
             raise ValueError(f"position {x} outside domain [{obj.domain_lo}, {obj.domain_hi}]")
-    k1, _ = _drift(obj, cfg.alpha, xs, cfg.lam)
+    pull = _pull_of(obj.eval, cfg.alpha, xs)
+    m = min(max(pull(1.0, 0.0), min(xs)), max(xs))
     return _police_domain(
-        obj, _advance(obj, cfg.alpha, cfg.lam, xs, k1, cfg.dt_value, cfg.integrator == "rk4")
+        obj, _advance(pull, xs, m, cfg.dt_value * cfg.lam, cfg.integrator == "rk4")
     )
 
 
@@ -271,10 +289,10 @@ def simulate(obj: Objective, cfg: SimConfig, record_trajectory: bool = True) -> 
     containment and the uniform bound, never for the average bound, and
     always when it is not finite, as for a NaN state.
 
-    Each state's drift is taken once and gives both the consensus point of
-    its sample and the first stage of the step that leaves it, so n_steps
-    RK4 steps make N * (4 * n_steps + 1) objective evaluations and Euler
-    steps N * (n_steps + 1), at any sample_stride.
+    Each state's consensus point is one kernel pass and serves both its
+    sample and the first stage of the step that leaves it, so n_steps RK4
+    steps make N * (4 * n_steps + 1) objective evaluations and Euler steps
+    N * (n_steps + 1), at any sample_stride.
     """
     xs = [float(x) for x in cfg.initial_positions]
     for x in xs:
@@ -286,7 +304,6 @@ def simulate(obj: Objective, cfg: SimConfig, record_trajectory: bool = True) -> 
     dt = cfg.dt_value
     t_max = cfg.t_max_value
     lam = cfg.lam
-    alpha = cfg.alpha
     rk4 = cfg.integrator == "rk4"
 
     n = len(xs)
@@ -303,10 +320,12 @@ def simulate(obj: Objective, cfg: SimConfig, record_trajectory: bool = True) -> 
     max_steps = math.ceil(t_max / dt)
     k = 0
     while True:
-        k1, m = _drift(obj, alpha, xs, lam)
         t = k * dt
         lo = min(xs)
         hi = max(xs)
+        pull = _pull_of(obj.eval, cfg.alpha, xs)
+        # clamped into the hull against rounding; a NaN m stays NaN
+        m = min(max(pull(1.0, 0.0), lo), hi)
         converged = hi - lo < cfg.gap_tol
         final = converged or k >= max_steps or t >= t_max
         if final or k % cfg.sample_stride == 0:
@@ -337,7 +356,7 @@ def simulate(obj: Objective, cfg: SimConfig, record_trajectory: bool = True) -> 
                 consensus.append(m)
         if final:
             break
-        xs = _police_domain(obj, _advance(obj, alpha, lam, xs, k1, dt, rk4))
+        xs = _police_domain(obj, _advance(pull, xs, m, dt * lam, rk4))
         k += 1
 
     return SimOutcome(
@@ -367,11 +386,13 @@ def reduced_solve(
     Every pairwise gap decays as e^(-lam t): with s = e^(-lam t) and offsets
     d_i = x_i(0) - min x(0), x_i = y + s d_i and dy/ds = -sum_j w_j(y + s d) d_j.
     lam cancels (the answer is bitwise invariant under it) and only maps s
-    to time, t = ln(1/s)/lam. y is integrated from s = 1 to gap_tol/gap0 by
-    Dormand-Prince 5(4) steps held to a local error of rtol * gap0, taken as
-    the larger of the embedded estimate and the midpoint defect of the dense
-    output (one more field sample), since across a kink of f the embedded
-    estimate alone reads some 30 times low.
+    to time, t = ln(1/s)/lam. The field is one pass of the consensus kernel
+    that `simulate` uses, bound once per solve to the sorted offsets. y is
+    integrated from s = 1 to gap_tol/gap0 by Dormand-Prince 5(4) steps held
+    to a local error of rtol * gap0, taken as the larger of the embedded
+    estimate and the midpoint defect of the dense output (one more field
+    sample), since across a kink of f the embedded estimate alone reads some
+    30 times low.
 
     Steps never exceed 0.01, so particles move at most 1% of gap0 between
     field samples even where underflowed weights make the field exactly 0.
@@ -395,31 +416,9 @@ def reduced_solve(
     y = min(xs)
     gap0 = max(xs) - y
     offsets = [x - y for x in xs]
-    # the lowest particle seeds the fold below; sorting the rest keeps the
-    # answer independent of the input order
-    upper = sorted(offsets)[1:]
-    f = obj.eval
-    alpha = cfg.alpha
-    exp = math.exp
-
-    def field(s: float, y: float) -> float:
-        """dy/ds in one pass over (best f, sum w, sum w d), weights relative to
-        the best so far and rescaled when it changes: no exponent exceeds 0."""
-        best = f(y)
-        sw = 1.0
-        swd = 0.0
-        for d in upper:
-            v = f(y + s * d)
-            if v < best:
-                r = exp(alpha * (v - best))
-                sw = sw * r + 1.0
-                swd = swd * r + d
-                best = v
-            else:
-                e = exp(alpha * (best - v))
-                sw += e
-                swd += e * d
-        return -swd / sw
+    # pull(s, y) = -dy/ds; the lowest particle seeds the kernel, and sorting
+    # the rest keeps the answer independent of the input order
+    pull = _pull_of(obj.eval, cfg.alpha, sorted(offsets))
 
     if gap0 < cfg.gap_tol:
         s_end, final_gap, t_final = 1.0, gap0, 0.0
@@ -433,7 +432,7 @@ def reduced_solve(
     def record(s: float, y: float, k: float) -> None:
         times.append(t_final if s == s_end else math.log(1.0 / s) / cfg.lam)
         states.append(tuple(y + s * d for d in offsets))
-        consensus.append(min(y - s * k, y + s * gap0))
+        consensus.append(min(y + s * k, y + s * gap0))
 
     h_min = 7 * (1.0 - s_end) / 400_000
     h_stiff = (1.0 - s_end) / 2500
@@ -441,7 +440,7 @@ def reduced_solve(
     h = h_max = 0.01
     tol = rtol * gap0
     s = 1.0
-    k1 = field(s, y)
+    k1 = pull(s, y)
     if record_trajectory:
         record(s, y, k1)
     n_steps = n_floor_steps = 0
@@ -449,35 +448,35 @@ def reduced_solve(
         last = h >= s - s_end
         if last:
             h = s - s_end
-        k2 = field(s - 0.2 * h, y - h * 0.2 * k1)
-        k3 = field(s - 0.3 * h, y - h * (3 / 40 * k1 + 9 / 40 * k2))
-        k4 = field(s - 0.8 * h, y - h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
-        k5 = field(s - 8 / 9 * h, y - h * (19372 / 6561 * k1 - 25360 / 2187 * k2
-                                           + 64448 / 6561 * k3 - 212 / 729 * k4))
-        y6 = y - h * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3
+        k2 = pull(s - 0.2 * h, y + h * 0.2 * k1)
+        k3 = pull(s - 0.3 * h, y + h * (3 / 40 * k1 + 9 / 40 * k2))
+        k4 = pull(s - 0.8 * h, y + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
+        k5 = pull(s - 8 / 9 * h, y + h * (19372 / 6561 * k1 - 25360 / 2187 * k2
+                                          + 64448 / 6561 * k3 - 212 / 729 * k4))
+        y6 = y + h * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3
                       + 49 / 176 * k4 - 5103 / 18656 * k5)
-        k6 = field(s - h, y6)
-        y_new = y - h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
+        k6 = pull(s - h, y6)
+        y_new = y + h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
                          - 2187 / 6784 * k5 + 11 / 84 * k6)
         s_new = s_end if last else s - h
-        k7 = field(s_new, y_new)
-        y_mid = y - h * (6025192743 / 60171106304 * k1 + 51252292925 / 130801643196 * k3
+        k7 = pull(s_new, y_new)
+        y_mid = y + h * (6025192743 / 60171106304 * k1 + 51252292925 / 130801643196 * k3
                          - 2691868925 / 90256659456 * k4 + 187940372067 / 3189068634112 * k5
                          - 1776094331 / 39487288512 * k6 + 11237099 / 470086768 * k7)
-        hermite_slope = 1.5 * (y_new - y) + 0.25 * h * (k1 + k7)
+        hermite_slope = 1.5 * (y_new - y) - 0.25 * h * (k1 + k7)
         err = max(
             abs(h * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4
                      - 17253 / 339200 * k5 + 22 / 525 * k6 - 1 / 40 * k7)),
-            abs(hermite_slope + h * field(s - 0.5 * h, y_mid)),
+            abs(hermite_slope - h * pull(s - 0.5 * h, y_mid)),
         )
         if not err < math.inf:  # NaN too
             raise IntegrationError(f"reduced solver produced a non-finite state at s={s}")
-        # dF/dy at s_new is (k7 - k6) / (y_new - y6), and DP5 is unstable past
+        # dF/dy at s_new is (k6 - k7) / (y_new - y6), and DP5 is unstable past
         # h dF/dy = 3.3; only a step within tolerance may clear `stiff`, as an
         # unstable step's samples can straddle the pull and read it low
         dy = y_new - y6
         if err <= tol or not stiff:
-            stiff = h_stiff * (k7 - k6) * dy > 3.3 * dy * dy
+            stiff = h_stiff * (k6 - k7) * dy > 3.3 * dy * dy
         floor = h_stiff if stiff and s > 50 * h_stiff else h_min
         if err <= tol or h <= floor:
             n_floor_steps += err > tol
@@ -492,7 +491,7 @@ def reduced_solve(
             grow = min(grow, max(0.2, 0.9 * (tol / err) ** 0.2))
         h = min(max(h * grow, floor), h_max)
 
-    m = min(y - s * k1, y + s * gap0)
+    m = min(y + s * k1, y + s * gap0)
     return SimOutcome(
         x_inf_estimate=m,
         final_gap=final_gap,

@@ -417,6 +417,14 @@ class TestVerifyCommand:
         assert rc == 1
         assert "stability" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_overflowing_step_count_is_a_config_error(self, command, tmp_path, capsys):
+        # t_max/dt overflows to inf, so the run could never end
+        text = SIM_LINEAR + "    dt = 1e-310\n"
+        rc = main([command, "--config", cfg_file(tmp_path, text)])
+        assert rc == 1
+        assert "dt = 1e-310" in capsys.readouterr().err
+
     def test_failing_invariant_is_reported_not_aborted(self, tmp_path, capsys):
         # coarse Euler steps break the average bound, which never aborts a run
         text = """

@@ -11,6 +11,7 @@ from cbolab.dynamics import (
     SimOutcome,
     Trajectory,
     _police_domain,
+    _pull_of,
     analytic_gap,
     gap_decay_tolerance,
     reduced_solve,
@@ -19,7 +20,13 @@ from cbolab.dynamics import (
     step,
     trajectory_csv,
 )
-from cbolab.objective import BUILTIN_NAMES, Objective, builtin_objective
+from cbolab.objective import (
+    BUILTIN_NAMES,
+    Objective,
+    builtin_objective,
+    consensus_point,
+    softmax_weights,
+)
 
 # closed-form consensus error for the slope-1 linear objective started at
 # (minimizer, minimizer + 1), computed independently to high precision
@@ -65,6 +72,7 @@ class TestSimConfig:
             (dict(gap_tol=0.0), "gap_tol"),
             (dict(t_max=-1.0), "t_max"),
             (dict(sample_stride=0), "sample_stride"),
+            (dict(dt=1e-310), "dt"),  # t_max/dt overflows to inf
         ],
     )
     def test_validation_names_the_field(self, kwargs, needle):
@@ -383,6 +391,40 @@ def counting(obj):
 
 # the kinked table of the acceptance criteria: a V with its minimum at 0.5
 KINKED_TABLE = (0.0, 1.0, 0.5, 0.0, 1.0, 1.0)
+
+
+@st.composite
+def ensembles(draw):
+    """An objective and N in 2..200 positions: a few spots, each repeated and
+    spread by a drawn width (0 gives exactly repeated positions)."""
+    family = draw(st.sampled_from(BUILTIN_NAMES))
+    obj = builtin_objective(family, params=KINKED_TABLE if family == "custom-table" else ())
+    n = draw(st.integers(2, 200))
+    spots = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=n))
+    spread = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 1.0]))
+    jitter = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    xs = [
+        min(obj.domain_lo + (spots[i % len(spots)] + spread * u) / (1.0 + spread) * obj.width,
+            obj.domain_hi)
+        for i, u in enumerate(jitter)
+    ]
+    return obj, xs
+
+
+class TestConsensusKernel:
+    @given(
+        ensemble=ensembles(),
+        alpha=st.one_of(st.just(0.0), st.floats(0.0, 9.0).map(lambda e: 10.0**e)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_softmax_formula(self, ensemble, alpha):
+        obj, xs = ensemble
+        m = min(max(_pull_of(obj.eval, alpha, xs)(1.0, 0.0), min(xs)), max(xs))
+        want = consensus_point(xs, softmax_weights([obj.eval(x) for x in xs], alpha))
+        bound = len(xs) * 2.0**-52 * max(abs(x) for x in xs)
+        assert abs(m - want) <= bound
+        if alpha == 0.0:
+            assert abs(m - math.fsum(xs) / len(xs)) <= bound
 
 
 class TestReducedSolve:
