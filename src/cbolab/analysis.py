@@ -327,6 +327,24 @@ def _alpha_bounds(obj: Objective, cfg: SimConfig, alpha: float):
     return None, None
 
 
+def _sweep(param_name, obj, cfgs, params, bounds, jobs, *, log_error, noise=-math.inf):
+    """The core of both sweeps: solve each config by `reduced_solve`, attach
+    the bound columns bounds(param) to its row, and fit the rows whose
+    abs_error exceeds noise: least squares of ln(abs_error), or abs_error,
+    against ln(param)."""
+    results = _run_parallel(partial(reduced_solve, obj), cfgs, jobs)
+    rows = tuple(
+        SweepRow(float(p), out.x_inf_estimate, out.error_to_minimizer, *bounds(p))
+        for p, out in zip(params, results)
+    )
+    fit_rows = [r for r in rows if r.abs_error > noise]
+    slope, stderr = _least_squares_slope(
+        [math.log(r.param_value) for r in fit_rows],
+        [math.log(r.abs_error) if log_error else r.abs_error for r in fit_rows],
+    )
+    return SweepReport(param_name, rows, slope, stderr)
+
+
 def sweep_alpha(
     obj: Objective, base_cfg: SimConfig, alphas, jobs: int = 1
 ) -> SweepReport:
@@ -348,52 +366,22 @@ def sweep_alpha(
         raise ValueError("alphas must be positive")
     if obj.known_minimizer is None:
         raise ValueError("sweep_alpha needs an objective with a known minimizer")
-
-    cfgs = [base_cfg.with_alpha(a) for a in alphas]
-    results = _run_parallel(partial(reduced_solve, obj), cfgs, jobs)
-
-    rows = []
-    for alpha, out in zip(alphas, results):
-        lower, upper = _alpha_bounds(obj, base_cfg, alpha)
-        rows.append(
-            SweepRow(
-                param_value=alpha,
-                x_inf=out.x_inf_estimate,
-                abs_error=out.error_to_minimizer,
-                bound_lower=lower,
-                bound_upper=upper,
-            )
-        )
-
-    fit_rows = [r for r in rows if r.abs_error > 10.0 * base_cfg.gap_tol]
-    slope, stderr = _least_squares_slope(
-        [math.log(r.param_value) for r in fit_rows],
-        [math.log(r.abs_error) for r in fit_rows],
+    return _sweep(
+        "alpha", obj, [base_cfg.with_alpha(a) for a in alphas], alphas,
+        partial(_alpha_bounds, obj, base_cfg), jobs,
+        log_error=True, noise=10.0 * base_cfg.gap_tol,
     )
-    return SweepReport(
-        param_name="alpha", rows=tuple(rows), fitted_slope=slope, slope_stderr=stderr
-    )
-
-
-def _n_particle_error(alpha: float, width: float, j: int, n: int) -> tuple[float, float]:
-    obj = builtin_objective("linear", 0.0, width, (1.0,))
-    cfg = SimConfig(
-        lam=1.0,
-        alpha=alpha,
-        initial_positions=(0.0,) * j + (width,) * (n - j),
-    )
-    out = simulate(obj, cfg, record_trajectory=False)
-    return out.x_inf_estimate, out.error_to_minimizer
 
 
 def sweep_n(alpha: float, width: float, counts, j: int = 1, jobs: int = 1) -> SweepReport:
     """Consensus error of the linear ensemble as the particle count grows.
 
-    j particles start at the minimizer 0 and n - j at width; the closed-form
-    value is attached to both bound columns (it is exact, a two-sided bound).
-    The fitted slope is least squares of abs_error against ln(n): the error
-    grows logarithmically in n, with slope approaching 1/alpha for large
-    alpha*width.
+    j particles start at the minimizer 0 of f(x) = x on [0, width] and n - j
+    at width; each count is solved at lam = 1 by `reduced_solve`, as in
+    `sweep_alpha`. The closed-form value is attached to both bound columns
+    (it is exact, a two-sided bound). The fitted slope is least squares of
+    abs_error against ln(n): the error grows logarithmically in n, with slope
+    approaching 1/alpha for large alpha*width.
     """
     counts = [int(n) for n in counts]
     if not counts:
@@ -408,26 +396,14 @@ def sweep_n(alpha: float, width: float, counts, j: int = 1, jobs: int = 1) -> Sw
         raise ValueError(f"alpha must be positive, got {alpha}")
     if not width > 0.0:
         raise ValueError(f"width must be positive, got {width}")
-
-    results = _run_parallel(partial(_n_particle_error, alpha, width, j), counts, jobs)
-    rows = []
-    for n, (x_inf, err) in zip(counts, results):
-        exact = oracle_nparticle_linear_error(alpha, n, j, width)
-        rows.append(
-            SweepRow(
-                param_value=float(n),
-                x_inf=x_inf,
-                abs_error=err,
-                bound_lower=exact,
-                bound_upper=exact,
-            )
-        )
-    slope, stderr = _least_squares_slope(
-        [math.log(r.param_value) for r in rows],
-        [r.abs_error for r in rows],
-    )
-    return SweepReport(
-        param_name="N", rows=tuple(rows), fitted_slope=slope, slope_stderr=stderr
+    cfgs = [
+        SimConfig(lam=1.0, alpha=alpha, initial_positions=(0.0,) * j + (width,) * (n - j))
+        for n in counts
+    ]
+    return _sweep(
+        "N", builtin_objective("linear", 0.0, width, (1.0,)), cfgs, counts,
+        lambda n: (oracle_nparticle_linear_error(alpha, n, j, width),) * 2, jobs,
+        log_error=False,
     )
 
 

@@ -396,12 +396,21 @@ def reduced_solve(
 
     Steps never exceed 0.01, so particles move at most 1% of gap0 between
     field samples even where underflowed weights make the field exactly 0.
-    No step is smaller than its share of 400 000 field samples, nor, where
-    the field pulls solutions together so hard that a step of 1/2500 of the
-    s range is unstable, than that step while s is above 50 of them: the pull
-    damps the error made there, so a stiff solve's cost stops growing with
-    alpha. A step at a floor is accepted even over tolerance and counted in
-    n_floor_steps.
+    The weights switch near s ~ 1/(alpha * gap0 * slope of f), over a span
+    even in ln s, so steps follow ln s late in the solve. No step takes s
+    below half while the field is over tol/s from its value mean(d) at s = 0,
+    unless over the last step its distance from mean(d) shrank like s (to at
+    most 1.2 * s_new/s of what it was), as it does past the switch: a longer
+    step can cross the switch unseen by its error estimate.
+    No step is smaller than a budget floor, its share of 400 000 field
+    samples (7 per step), nor, where the field pulls solutions together so
+    hard that a step at the stiffness floor is unstable, than that floor:
+    the pull damps the error made there, so a stiff solve's cost stops
+    growing with alpha. While s is above 50 stiffness floors the floors are
+    7/400 000 and 1/2500 of the s range; below that they are the same shares
+    of the ln s range, times the step's end s_new, as floors absolute in s
+    would step over the switch at large alpha. A step at a floor is accepted
+    even over tolerance and counted in n_floor_steps.
     x_inf_estimate is the final consensus point; final_positions keep the
     input order.
     """
@@ -436,8 +445,13 @@ def reduced_solve(
 
     h_min = 7 * (1.0 - s_end) / 400_000
     h_stiff = (1.0 - s_end) / 2500
+    # the same budgets spread over ln s, for the floors late in the solve
+    k_min = 7 * math.log(1.0 / s_end) / 400_000
+    k_stiff = math.log(1.0 / s_end) / 2500
     stiff = False
     h = h_max = 0.01
+    d_mean = math.fsum(offsets) / len(offsets)  # the field at s = 0
+    tail = False
     tol = rtol * gap0
     s = 1.0
     k1 = pull(s, y)
@@ -474,12 +488,16 @@ def reduced_solve(
         # dF/dy at s_new is (k6 - k7) / (y_new - y6), and DP5 is unstable past
         # h dF/dy = 3.3; only a step within tolerance may clear `stiff`, as an
         # unstable step's samples can straddle the pull and read it low
+        early = s > 50 * h_stiff
+        h_test = h_stiff if early else k_stiff * s_new
         dy = y_new - y6
         if err <= tol or not stiff:
-            stiff = h_stiff * (k6 - k7) * dy > 3.3 * dy * dy
-        floor = h_stiff if stiff and s > 50 * h_stiff else h_min
+            stiff = h_test * (k6 - k7) * dy > 3.3 * dy * dy
+        floor = h_test if stiff else h_min if early else k_min * s_new
         if err <= tol or h <= floor:
             n_floor_steps += err > tol
+            # past the switch the field closes on d_mean like s
+            tail = s * abs(k7 - d_mean) <= 1.2 * s_new * abs(k1 - d_mean)
             s, y, k1 = s_new, y_new, k7
             n_steps += 1
             if record_trajectory and (n_steps % cfg.sample_stride == 0 or s == s_end):
@@ -489,7 +507,8 @@ def reduced_solve(
             grow = 1.0
         if err > 0.0:
             grow = min(grow, max(0.2, 0.9 * (tol / err) ** 0.2))
-        h = min(max(h * grow, floor), h_max)
+        h_top = h_max if tail or s * abs(k1 - d_mean) <= tol else min(h_max, 0.5 * s)
+        h = min(max(h * grow, floor), h_top)
 
     m = min(y + s * k1, y + s * gap0)
     return SimOutcome(

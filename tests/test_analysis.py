@@ -370,6 +370,17 @@ class TestSweepAlpha:
             # at large alpha the error equals the bound, so allow solver noise
             assert row.abs_error <= row.bound_upper + 1e-9
 
+    def test_linear_pair_is_exact_up_to_alpha_1e9(self):
+        # the weights switch over a span of order one in ln s near
+        # s ~ 1/alpha, which a step floor absolute in s steps over at large
+        # alpha (2.4e-7 off, fitted slope -0.61)
+        alphas = [10.0 ** (k / 2) for k in range(6, 19)]
+        report = sweep_alpha(builtin_objective("linear"), self.base_cfg(), alphas)
+        for row in report.rows:
+            exact = oracle_linear_error(row.param_value, 1.0)
+            assert abs(row.abs_error - exact) <= 1e-10, row.param_value
+        assert -1.05 <= report.fitted_slope <= -0.95
+
     def test_quadratic_rate_is_half_with_bounds(self):
         report = sweep_alpha(
             builtin_objective("quadratic"), self.base_cfg(), [100.0, 1000.0, 10000.0]
@@ -476,6 +487,21 @@ class TestSweepN:
         assert report.rows[0].abs_error == pytest.approx(
             NPART_ERR[(5.0, 4, 2, 1.0)], abs=1e-6
         )
+
+    @pytest.mark.parametrize("alpha", [1e6, 1e9])
+    def test_exact_at_extreme_alpha_and_n(self, alpha):
+        report = sweep_n(alpha, 1.0, [2, 16, 64, 256], j=1)
+        assert max(abs(r.abs_error - r.bound_lower) for r in report.rows) <= 1e-10
+
+    def test_rows_agree_with_simulate(self):
+        # simulate stays the independent physical-time route to each row
+        report = sweep_n(5.0, 1.0, [2, 3, 5])
+        obj = builtin_objective("linear", 0.0, 1.0, (1.0,))
+        for row in report.rows:
+            n = int(row.param_value)
+            cfg = SimConfig(lam=1.0, alpha=5.0, initial_positions=(0.0,) + (1.0,) * (n - 1))
+            full = simulate(obj, cfg, record_trajectory=False)
+            assert row.x_inf == pytest.approx(full.x_inf_estimate, abs=1e-8)
 
     def test_parallel_jobs_change_nothing(self):
         assert sweep_n(5.0, 1.0, [2, 4, 8], jobs=2) == sweep_n(5.0, 1.0, [2, 4, 8], jobs=1)

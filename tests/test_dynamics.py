@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbolab.analysis import oracle_nparticle_linear_error
 from cbolab.dynamics import (
     IntegrationError,
     SimConfig,
@@ -448,6 +449,22 @@ class TestReducedSolve:
         full = simulate(obj, cfg, record_trajectory=False)
         red = reduced_solve(obj, cfg)
         assert red.x_inf_estimate == pytest.approx(full.x_inf_estimate, abs=1e-8)
+
+    @given(
+        n=st.sampled_from([2, 3, 5, 8, 16, 64, 256]),
+        data=st.data(),
+        width=st.floats(0.5, 2.0),
+        log_alpha=st.floats(0.0, 9.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_linear_ensembles_match_the_closed_form(self, n, data, width, log_alpha):
+        j = data.draw(st.integers(1, n - 1))
+        alpha = 10.0**log_alpha
+        obj = builtin_objective("linear", 0.0, width, (1.0,))
+        cfg = SimConfig(lam=1.0, alpha=alpha, initial_positions=(0.0,) * j + (width,) * (n - j))
+        red = reduced_solve(obj, cfg)
+        exact = oracle_nparticle_linear_error(alpha, n, j, width)
+        assert abs(red.x_inf_estimate - exact) <= 1e-10 * width
 
     def test_kink_crossings_stay_within_tolerance(self):
         # particles cross the kink of the V; without the midpoint defect the
