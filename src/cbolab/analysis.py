@@ -9,7 +9,6 @@ valid for every sharpness above the certificate's alpha0 threshold.
 from __future__ import annotations
 
 import math
-import pickle
 from dataclasses import dataclass
 from functools import partial
 
@@ -173,7 +172,7 @@ def certify_calyx(obj: Objective, grid_n: int = 10_000) -> CalyxCertificate:
     the minimizer (or no window at all passes the test), and ValueError for a
     missing or boundary minimizer or a non-positive separation level.
     """
-    if int(grid_n) != grid_n or grid_n < 10:
+    if not (grid_n >= 10 and grid_n % 1 == 0):  # inf % 1 is nan
         raise ValueError(f"grid_n must be an integer >= 10, got {grid_n}")
     if obj.known_minimizer is None:
         raise ValueError("certification needs an objective with a known minimizer")
@@ -297,6 +296,7 @@ def _least_squares_slope(us, vs):
 def _run_parallel(task, items, jobs: int):
     if jobs <= 1 or len(items) <= 1:
         return [task(item) for item in items]
+    import pickle  # imported here, as the pool is: serial runs never use it
     try:
         pickle.dumps(task)
     except Exception:
@@ -383,15 +383,18 @@ def sweep_n(alpha: float, width: float, counts, j: int = 1, jobs: int = 1) -> Sw
     abs_error against ln(n): the error grows logarithmically in n, with slope
     approaching 1/alpha for large alpha*width.
     """
-    counts = [int(n) for n in counts]
+    counts = [int(n) if n % 1 == 0 else None for n in counts]  # inf % 1 is nan
+    if None in counts:
+        raise ValueError("counts must be integers")
     if not counts:
         raise ValueError("counts must be nonempty")
     if any(n2 <= n1 for n1, n2 in zip(counts, counts[1:])):
         raise ValueError("counts must be strictly increasing")
     if counts[0] < 2:
         raise ValueError("every count must be at least 2")
-    if not 1 <= j <= counts[0] - 1:
-        raise ValueError(f"j must be in [1, {counts[0] - 1}], got {j}")
+    if not (1 <= j <= counts[0] - 1 and j % 1 == 0):
+        raise ValueError(f"j must be an integer in [1, {counts[0] - 1}], got {j}")
+    j = int(j)
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if not width > 0.0:

@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-from ._files import write_text_atomic
+from ._files import open_text_atomic, write_text_atomic
 from .analysis import (
     CurvatureError,
     certify_calyx,
@@ -25,7 +25,8 @@ from .analysis import (
     sweep_n,
     verify_invariants,
 )
-from .dynamics import IntegrationError, SimConfig, simulate, trajectory_csv
+from .dynamics import IntegrationError, SimConfig, simulate, trajectory_writer
+from .dynamics import trajectory_csv  # unused; perfbench's tracer patches it
 from .objective import Objective, builtin_objective, load_table_csv
 
 
@@ -58,6 +59,13 @@ def _float(raw: str, field: str) -> float:
     if len(vals) != 1:
         raise ConfigError(f"{field}: expected one number, got {raw!r}")
     return vals[0]
+
+
+def _int(raw: str, field: str) -> int:
+    v = _float(raw, field)
+    if not v.is_integer():  # nor is inf or nan
+        raise ConfigError(f"{field} takes integers, got {raw!r}")
+    return int(v)
 
 
 def _parse_objective(cp: configparser.ConfigParser) -> Objective:
@@ -110,10 +118,7 @@ def _parse_sim(cp: configparser.ConfigParser, require_alpha: bool = True) -> Sim
     if "t_max" in sec:
         kwargs["t_max"] = _float(sec["t_max"], "sim.t_max")
     if "sample_stride" in sec:
-        stride = _float(sec["sample_stride"], "sim.sample_stride")
-        if stride != int(stride):
-            raise ConfigError(f"sim.sample_stride must be an integer, got {stride}")
-        kwargs["sample_stride"] = int(stride)
+        kwargs["sample_stride"] = _int(sec["sample_stride"], "sim.sample_stride")
     try:
         return SimConfig(
             lam=_float(sec["lambda"], "sim.lambda"),
@@ -144,15 +149,9 @@ def parse_config(path: str, command: str) -> ExperimentConfig:
                 raise ConfigError(f"sweep-n.{key} is required")
         out.n_alpha = _float(sec["alpha"], "sweep-n.alpha")
         out.width = _float(sec["width"], "sweep-n.width")
-        raw_ns = _floats(sec["ns"], "sweep-n.ns")
-        if any(v != int(v) for v in raw_ns):
-            raise ConfigError(f"sweep-n.ns must be integers, got {sec['ns']!r}")
-        out.counts = tuple(int(v) for v in raw_ns)
+        out.counts = tuple(_int(v, "sweep-n.ns") for v in sec["ns"].replace(",", " ").split())
         if "j" in sec:
-            j = _float(sec["j"], "sweep-n.j")
-            if j != int(j):
-                raise ConfigError(f"sweep-n.j must be an integer, got {j}")
-            out.j = int(j)
+            out.j = _int(sec["j"], "sweep-n.j")
         return out
 
     out.objective = _parse_objective(cp)
@@ -169,10 +168,9 @@ def parse_config(path: str, command: str) -> ExperimentConfig:
         if cp.has_section("certify"):
             sec = cp["certify"]
             if "grid_n" in sec:
-                g = _float(sec["grid_n"], "certify.grid_n")
-                if g != int(g) or g < 10:
+                out.grid_n = _int(sec["grid_n"], "certify.grid_n")
+                if out.grid_n < 10:
                     raise ConfigError(f"certify.grid_n must be an integer >= 10, got {sec['grid_n']!r}")
-                out.grid_n = int(g)
             if "alphas" in sec:
                 out.certify_alphas = _floats(sec["alphas"], "certify.alphas")
     return out
@@ -187,9 +185,10 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, full_trajectory: bool) -> 
     sim = cfg.sim
     if full_trajectory:
         sim = replace(sim, sample_stride=1)
-    out = simulate(cfg.objective, sim, record_trajectory=True)
     path = _out_path(out_dir, "trajectory.csv")
-    write_text_atomic(path, trajectory_csv(out.trajectory))
+    with open_text_atomic(path) as fh:  # rows stream out as they are sampled
+        on_sample = trajectory_writer(fh.write, len(sim.initial_positions))
+        out = simulate(cfg.objective, sim, record_trajectory=False, on_sample=on_sample)
     print(f"x_inf_estimate = {out.x_inf_estimate:.6g}")
     if out.error_to_minimizer is not None:
         print(f"error_to_minimizer = {out.error_to_minimizer:.6g}")

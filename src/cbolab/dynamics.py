@@ -40,6 +40,7 @@ __all__ = [
     "reduced_two_particle",
     "analytic_gap",
     "gap_decay_tolerance",
+    "trajectory_writer",
     "trajectory_csv",
 ]
 
@@ -97,7 +98,7 @@ class SimConfig:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
         if not math.isfinite(self.t_max_value / self.dt_value):
             raise ValueError(f"dt = {self.dt_value} is too small: t_max/dt overflows")
-        if int(self.sample_stride) != self.sample_stride or self.sample_stride < 1:
+        if not (self.sample_stride >= 1 and self.sample_stride % 1 == 0):  # inf % 1 is nan
             raise ValueError(f"sample_stride must be a positive integer, got {self.sample_stride}")
 
     @property
@@ -203,22 +204,12 @@ def step(obj: Objective, cfg: SimConfig, positions) -> list[float]:
 def _police_domain(obj: Objective, xs: list[float]) -> list[float]:
     """Clamp rounding-level domain excursions; abort on anything larger."""
     lo, hi = obj.domain_lo, obj.domain_hi
-    out = []
     for x in xs:
-        if x < lo:
-            if lo - x > _DOMAIN_SLACK:
-                raise IntegrationError(
-                    f"particle left the domain: {x} < {lo} by {lo - x:.3e}"
-                )
-            x = lo
-        elif x > hi:
-            if x - hi > _DOMAIN_SLACK:
-                raise IntegrationError(
-                    f"particle left the domain: {x} > {hi} by {x - hi:.3e}"
-                )
-            x = hi
-        out.append(x)
-    return out
+        if lo - x > _DOMAIN_SLACK:
+            raise IntegrationError(f"particle left the domain: {x} < {lo} by {lo - x:.3e}")
+        if x - hi > _DOMAIN_SLACK:
+            raise IntegrationError(f"particle left the domain: {x} > {hi} by {x - hi:.3e}")
+    return [lo if x < lo else hi if x > hi else x for x in xs]
 
 
 def analytic_gap(x0_gap: float, lam: float, t: float) -> float:
@@ -276,7 +267,9 @@ def invariant_tolerances(cfg: SimConfig) -> tuple[float, ...]:
     )
 
 
-def simulate(obj: Objective, cfg: SimConfig, record_trajectory: bool = True) -> SimOutcome:
+def simulate(
+    obj: Objective, cfg: SimConfig, record_trajectory: bool = True, *, on_sample=None
+) -> SimOutcome:
     """Integrate the N-particle system until the max gap falls below gap_tol.
 
     Returns the consensus point of the final state as x_inf_estimate (any
@@ -288,6 +281,10 @@ def simulate(obj: Objective, cfg: SimConfig, record_trajectory: bool = True) -> 
     IntegrationError: 10x its tolerance for gap decay, 1x for order, hull
     containment and the uniform bound, never for the average bound, and
     always when it is not finite, as for a NaN state.
+
+    on_sample(t, xs, m) is called at each sample once its invariants pass;
+    xs is the state list, not to be kept or modified. record_trajectory keeps
+    the samples on the outcome through the same hook.
 
     Each state's consensus point is one kernel pass and serves both its
     sample and the first stage of the step that leaves it, so n_steps RK4
@@ -313,16 +310,23 @@ def simulate(obj: Objective, cfg: SimConfig, record_trajectory: bool = True) -> 
     limits = [f * tol for f, tol in zip(_ABORT_FACTORS, invariant_tolerances(cfg))]
     residuals = [0.0] * len(INVARIANT_NAMES)
 
-    times: list[float] = []
-    states: list[tuple[float, ...]] = []
-    consensus: list[float] = []
+    samples = []
+    if record_trajectory:
+        hook = on_sample
+
+        def on_sample(t, xs, m):
+            samples.append((t, tuple(xs), m))
+            if hook is not None:
+                hook(t, xs, m)
 
     max_steps = math.ceil(t_max / dt)
     k = 0
     while True:
         t = k * dt
-        lo = min(xs)
-        hi = max(xs)
+        lo, hi = min(xs), max(xs)
+        if not (obj.domain_lo <= lo and hi <= obj.domain_hi):  # NaN takes this path
+            xs = _police_domain(obj, xs)
+            lo, hi = min(xs), max(xs)
         pull = _pull_of(obj.eval, cfg.alpha, xs)
         # clamped into the hull against rounding; a NaN m stays NaN
         m = min(max(pull(1.0, 0.0), lo), hi)
@@ -350,13 +354,11 @@ def simulate(obj: Objective, cfg: SimConfig, record_trajectory: bool = True) -> 
                     )
                 if r > residuals[i]:
                     residuals[i] = r
-            if record_trajectory:
-                times.append(t)
-                states.append(tuple(xs))
-                consensus.append(m)
+            if on_sample is not None:
+                on_sample(t, xs, m)
         if final:
             break
-        xs = _police_domain(obj, _advance(pull, xs, m, dt * lam, rk4))
+        xs = _advance(pull, xs, m, dt * lam, rk4)
         k += 1
 
     return SimOutcome(
@@ -364,9 +366,7 @@ def simulate(obj: Objective, cfg: SimConfig, record_trajectory: bool = True) -> 
         final_gap=hi - lo,
         stop_reason="gap_converged" if converged else "t_max_reached",
         error_to_minimizer=None if obj.known_minimizer is None else abs(m - obj.known_minimizer),
-        trajectory=Trajectory(tuple(times), tuple(states), tuple(consensus))
-        if record_trajectory
-        else None,
+        trajectory=Trajectory(*map(tuple, zip(*samples))) if record_trajectory else None,
         final_positions=tuple(xs),
         t_final=t,
         n_steps=k,
@@ -539,13 +539,18 @@ def reduced_two_particle(
     return reduced_solve(obj, cfg, rtol=rtol, record_trajectory=record_trajectory)
 
 
+def trajectory_writer(write, n: int):
+    """Write the CSV header t, x_1..x_n, m, gap_max and return the on_sample
+    hook that writes each sample's row, at 17 significant digits."""
+    write("t," + ",".join(f"x_{i + 1}" for i in range(n)) + ",m,gap_max\n")
+    row = ",".join(["%.17g"] * (n + 3)) + "\n"
+    return lambda t, xs, m: write(row % (t, *xs, m, max(xs) - min(xs)))
+
+
 def trajectory_csv(traj: Trajectory) -> str:
-    """CSV text with columns t, x_1..x_N, m, gap_max at 17 significant digits."""
-    n = len(traj.states[0]) if traj.states else 0
-    header = "t," + ",".join(f"x_{i + 1}" for i in range(n)) + ",m,gap_max"
-    lines = [header]
-    for t, state, m in zip(traj.times, traj.states, traj.consensus_values):
-        gap = max(state) - min(state)
-        cells = [f"{t:.17g}"] + [f"{x:.17g}" for x in state] + [f"{m:.17g}", f"{gap:.17g}"]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    """The CSV text that `trajectory_writer` streams, for a recorded trajectory."""
+    parts: list[str] = []
+    row = trajectory_writer(parts.append, len(traj.states[0]) if traj.states else 0)
+    for sample in zip(traj.times, traj.states, traj.consensus_values):
+        row(*sample)
+    return "".join(parts)

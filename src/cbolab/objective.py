@@ -8,7 +8,6 @@ alpha -> infinity concentrates all weight on the best particle.
 """
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -311,6 +310,8 @@ def load_table_csv(path: str) -> Objective:
 
     A single header row is allowed and detected by failing to parse as floats.
     """
+    import csv  # imported here: only table objectives read a CSV
+
     knots: list[float] = []
     values: list[float] = []
     with open(path, newline="") as fh:

@@ -285,6 +285,11 @@ class TestCertifyCalyx:
         with pytest.raises(ValueError, match="grid_n"):
             certify_calyx(obj, grid_n=5)
 
+    @pytest.mark.parametrize("grid_n", [100.5, math.inf, math.nan])
+    def test_grid_n_must_be_whole(self, grid_n):
+        with pytest.raises(ValueError, match="grid_n"):
+            certify_calyx(builtin_objective("quadratic", -1.0, 1.0), grid_n=grid_n)
+
     def test_non_isolated_minimum_is_rejected(self):
         # (x^2-1)^2 has two global minima; certifying around +1 must fail at
         # the separation stage once the Lipschitz slack is accounted for
@@ -519,6 +524,16 @@ class TestSweepN:
             sweep_n(0.0, 1.0, [2, 4])
         with pytest.raises(ValueError, match="width"):
             sweep_n(5.0, -1.0, [2, 4])
+
+    @pytest.mark.parametrize("counts", [[2.5, 4], [2, math.inf], [2, math.nan]])
+    def test_counts_must_be_whole(self, counts):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            sweep_n(5.0, 1.0, counts)
+
+    def test_j_must_be_whole(self):
+        with pytest.raises(ValueError, match="j must be an integer"):
+            sweep_n(5.0, 1.0, [4, 8], j=1.5)
+        assert sweep_n(5.0, 1.0, [4, 8], j=2.0) == sweep_n(5.0, 1.0, [4, 8], j=2)
 
 
 class TestSweepCsv:

@@ -2,12 +2,16 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
 import cbolab
+import cbolab.cli
 from cbolab._files import write_text_atomic
 from cbolab.cli import ConfigError, main, parse_config
+from cbolab.dynamics import IntegrationError, simulate, trajectory_csv
 
 SIM_LINEAR = """
     [objective]
@@ -284,6 +288,50 @@ class TestSimulateCommand:
         # the minimizer is at the kink; the consensus error is about ln2/(alpha*slope)
         assert float(value_of(lines, "error_to_minimizer")) < 0.05
 
+    @pytest.mark.parametrize("full", [False, True], ids=["default-stride", "stride-1"])
+    def test_streamed_csv_equals_the_recorded_trajectory(self, full, tmp_path, capsys):
+        path = cfg_file(tmp_path, VERIFY_RASTRIGIN)
+        main(["simulate", "--config", path, "--out", str(tmp_path)] + ["--trajectory"] * full)
+        capsys.readouterr()
+        cfg = parse_config(path, "simulate")
+        sim = replace(cfg.sim, sample_stride=1) if full else cfg.sim
+        want = trajectory_csv(simulate(cfg.objective, sim).trajectory)
+        assert (tmp_path / "trajectory.csv").read_bytes() == want.encode()
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path, capsys):
+        cfg = cfg_file(tmp_path, SIM_LINEAR)
+        tracemalloc.start()
+        try:
+            main(["simulate", "--config", cfg, "--out", str(tmp_path), "--trajectory"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        size = (tmp_path / "trajectory.csv").stat().st_size
+        assert size > 1_000_000
+        assert peak < size / 4
+
+    def test_a_run_that_fails_mid_stream_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        def failing(obj, cfg, **kwargs):
+            hook = kwargs.pop("on_sample")
+            seen = [0]
+
+            def on_sample(t, xs, m):
+                seen[0] += 1
+                if seen[0] > 2000:  # past the first flushes of the file buffer
+                    raise IntegrationError("injected failure")
+                hook(t, xs, m)
+
+            return simulate(obj, cfg, on_sample=on_sample, **kwargs)
+
+        monkeypatch.setattr(cbolab.cli, "simulate", failing)
+        cfg = cfg_file(tmp_path, SIM_LINEAR)
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", cfg, "--out", str(out), "--trajectory"])
+        assert rc == 1
+        assert "error: injected failure" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestSweepCommands:
     def test_sweep_alpha_end_to_end(self, tmp_path, capsys):
@@ -474,6 +522,23 @@ class TestArgumentErrors:
             main(argv + ["--config", "cfg.ini"])
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,text,field",
+        [
+            ("simulate", SIM_LINEAR + "    sample_stride = inf\n", "sim.sample_stride"),
+            ("simulate", SIM_LINEAR + "    sample_stride = nan\n", "sim.sample_stride"),
+            ("sweep-n", SWEEP_N.replace("ns = 2, 4, 8", "ns = 2 inf"), "sweep-n.ns"),
+            ("sweep-n", SWEEP_N + "    j = 1e400\n", "sweep-n.j"),
+            ("certify", CERTIFY_DOUBLE_WELL + "    grid_n = inf\n", "certify.grid_n"),
+        ],
+        ids=["stride-inf", "stride-nan", "ns-inf", "j-1e400", "grid_n-inf"],
+    )
+    def test_integer_field_that_is_not_whole_exits_1(self, command, text, field, tmp_path, capsys):
+        rc = main([command, "--config", cfg_file(tmp_path, text), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+
     def test_bad_config_path_exits_1(self, capsys):
         rc = main(["simulate", "--config", "/nonexistent/cfg.ini"])
         assert rc == 1
@@ -485,8 +550,8 @@ def test_import_loads_no_pool_or_third_party_modules():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cbolab.__file__)))
     code = (
         "import sys, cbolab; "
-        "print(*[m for m in ('multiprocessing', 'concurrent.futures', 'numpy', 'scipy') "
-        "if m in sys.modules])"
+        "print(*[m for m in ('multiprocessing', 'concurrent.futures', 'numpy', 'scipy', "
+        "'pickle', 'csv') if m in sys.modules])"
     )
     env = {**os.environ, "PYTHONPATH": src}
     run = subprocess.run(

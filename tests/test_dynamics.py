@@ -73,6 +73,9 @@ class TestSimConfig:
             (dict(gap_tol=0.0), "gap_tol"),
             (dict(t_max=-1.0), "t_max"),
             (dict(sample_stride=0), "sample_stride"),
+            (dict(sample_stride=2.5), "sample_stride"),
+            (dict(sample_stride=math.inf), "sample_stride"),
+            (dict(sample_stride=math.nan), "sample_stride"),
             (dict(dt=1e-310), "dt"),  # t_max/dt overflows to inf
         ],
     )
@@ -274,6 +277,21 @@ class TestSimulate:
         out = simulate(obj, cfg)
         assert out.n_steps > 1000
         assert calls[0] == 2 * (stages * out.n_steps + 1)
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_on_sample_sees_the_recorded_trajectory(self, record):
+        obj = builtin_objective("rastrigin1d")
+        cfg = SimConfig(
+            lam=2.0, alpha=3.0, initial_positions=(-1.0, 0.5, 2.0), sample_stride=7
+        )
+        seen = []
+        out = simulate(
+            obj, cfg, record_trajectory=record,
+            on_sample=lambda t, xs, m: seen.append((t, tuple(xs), m)),
+        )
+        traj = simulate(obj, cfg).trajectory
+        assert seen == list(zip(traj.times, traj.states, traj.consensus_values))
+        assert out.trajectory == (traj if record else None)
 
     def test_sampling_grid_and_final_state(self):
         obj = linear_obj()
