@@ -73,10 +73,10 @@ class TestSimConfig:
             (dict(gap_tol=0.0), "gap_tol"),
             (dict(t_max=-1.0), "t_max"),
             (dict(sample_stride=0), "sample_stride"),
+            (dict(dt=1e-310), "dt"),  # t_max/dt overflows to inf
             (dict(sample_stride=2.5), "sample_stride"),
             (dict(sample_stride=math.inf), "sample_stride"),
             (dict(sample_stride=math.nan), "sample_stride"),
-            (dict(dt=1e-310), "dt"),  # t_max/dt overflows to inf
         ],
     )
     def test_validation_names_the_field(self, kwargs, needle):
