@@ -35,7 +35,6 @@ from .dynamics import (
     reduced_solve,
     reduced_two_particle,
     simulate,
-    step,
     trajectory_csv,
 )
 from .objective import (
@@ -78,7 +77,6 @@ __all__ = [
     "reduced_two_particle",
     "simulate",
     "softmax_weights",
-    "step",
     "sweep_alpha",
     "sweep_csv",
     "sweep_n",

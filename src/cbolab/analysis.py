@@ -4,7 +4,8 @@ The linear and quadratic objectives admit closed-form consensus errors, used
 as oracles throughout the test suite. For general smooth objectives with an
 interior minimizer, `certify_calyx` constructs an explicit error bound B(alpha)
 from finite-difference curvature and a grid separation level; the bound is
-valid for every sharpness above the certificate's alpha0 threshold.
+valid for a particle pair at every sharpness above the certificate's alpha0
+threshold. Its ln 2 is the pair's; swarms of more particles can exceed it.
 """
 from __future__ import annotations
 
@@ -124,6 +125,11 @@ class CalyxCertificate:
     separation level. r2 and c2 are the derived radius and separation rate;
     the bound B(alpha) = ln2/(alpha*c2) + sqrt(ln2/(alpha*c1)) holds for
     every alpha > alpha0 = 1/(r2*c2).
+
+    B is a pair bound: its ln 2 is the log of the particle count N = 2. The
+    error of N particles grows like ln(N)/alpha (`oracle_nparticle_linear_error`),
+    and swarms of more than two particles can exceed B, e.g. 1.4 B for six
+    particles on shifted-quadratic at alpha = 1.078e4.
     """
 
     r1: float
@@ -137,7 +143,8 @@ class CalyxCertificate:
     alpha0: float
 
     def error_bound(self, alpha: float) -> float:
-        """B(alpha), the certified bound on |x_inf - x_star|; needs alpha > alpha0."""
+        """B(alpha), the certified bound on |x_inf - x_star| for a particle
+        pair; needs alpha > alpha0. Larger swarms can exceed it."""
         if not alpha > self.alpha0:
             raise ValueError(
                 f"bound is only valid for alpha > alpha0 = {self.alpha0}, got {alpha}"
@@ -150,8 +157,6 @@ def _fdd(f, x: float, h: float) -> float:
 
 
 def _segment_min(f, lo: float, hi: float, n: int) -> float:
-    if n < 2:
-        n = 2
     step = (hi - lo) / (n - 1)
     return min(f(lo + i * step) for i in range(n))
 

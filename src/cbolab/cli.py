@@ -244,6 +244,7 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str, emit_plot: bool) -> int:
         "note: the bound holds strictly above alpha0; alpha0 is the threshold "
         "this construction yields, not necessarily the smallest valid one"
     )
+    print("note: B is the bound for a particle pair; swarms of more particles can exceed it")
     rows = []
     for a in cfg.certify_alphas:
         if a > cert.alpha0:

@@ -16,9 +16,9 @@ and returns the largest residual of each on its outcome.
 
 Both solvers take every consensus point from one kernel, `_pull_of`: one
 stable pass over the particles that never exponentiates a positive number.
-One stepping routine, `_advance`, serves `step` and `simulate`. It starts
-from the consensus point the caller has taken, so `simulate` takes each
-state's consensus point once, for its sample and the step that leaves it.
+One stepping routine, `_advance`, takes `simulate`'s steps. It starts from
+the consensus point the caller has taken, so `simulate` takes each state's
+consensus point once, for its sample and the step that leaves it.
 """
 from __future__ import annotations
 
@@ -34,7 +34,6 @@ __all__ = [
     "IntegrationError",
     "INVARIANT_NAMES",
     "invariant_tolerances",
-    "step",
     "simulate",
     "reduced_solve",
     "reduced_two_particle",
@@ -188,17 +187,15 @@ def _advance(pull, xs: list[float], m: float, c: float, rk4: bool) -> list[float
     return [x + c * (m - x) for x in xs]
 
 
-def step(obj: Objective, cfg: SimConfig, positions) -> list[float]:
-    """One explicit integrator step of size cfg.dt_value from the given state."""
-    xs = [float(x) for x in positions]
+def _check_start(obj: Objective, cfg: SimConfig) -> list[float]:
+    """cfg's initial positions, after checking that each lies in obj's domain."""
+    xs = list(cfg.initial_positions)
     for x in xs:
-        if not obj.contains(x, slack=_DOMAIN_SLACK):
-            raise ValueError(f"position {x} outside domain [{obj.domain_lo}, {obj.domain_hi}]")
-    pull = _pull_of(obj.eval, cfg.alpha, xs)
-    m = min(max(pull(1.0, 0.0), min(xs)), max(xs))
-    return _police_domain(
-        obj, _advance(pull, xs, m, cfg.dt_value * cfg.lam, cfg.integrator == "rk4")
-    )
+        if not obj.contains(x):
+            raise ValueError(
+                f"initial position {x} outside domain [{obj.domain_lo}, {obj.domain_hi}]"
+            )
+    return xs
 
 
 def _police_domain(obj: Objective, xs: list[float]) -> list[float]:
@@ -291,12 +288,7 @@ def simulate(
     steps make N * (4 * n_steps + 1) objective evaluations and Euler steps
     N * (n_steps + 1), at any sample_stride.
     """
-    xs = [float(x) for x in cfg.initial_positions]
-    for x in xs:
-        if not obj.contains(x):
-            raise ValueError(
-                f"initial position {x} outside domain [{obj.domain_lo}, {obj.domain_hi}]"
-            )
+    xs = _check_start(obj, cfg)
 
     dt = cfg.dt_value
     t_max = cfg.t_max_value
@@ -374,13 +366,7 @@ def simulate(
     )
 
 
-def reduced_solve(
-    obj: Objective,
-    cfg: SimConfig,
-    *,
-    rtol: float = 1e-10,
-    record_trajectory: bool = False,
-) -> SimOutcome:
+def reduced_solve(obj: Objective, cfg: SimConfig, *, rtol: float = 1e-10) -> SimOutcome:
     """Limit of the N-particle system from one scalar ODE in the gap scale s.
 
     Every pairwise gap decays as e^(-lam t): with s = e^(-lam t) and offsets
@@ -412,16 +398,11 @@ def reduced_solve(
     would step over the switch at large alpha. A step at a floor is accepted
     even over tolerance and counted in n_floor_steps.
     x_inf_estimate is the final consensus point; final_positions keep the
-    input order.
+    input order. No trajectory is kept: the outcome's trajectory is None.
     """
     if not (math.isfinite(rtol) and rtol > 0.0):
         raise ValueError(f"rtol must be positive and finite, got {rtol}")
-    xs = cfg.initial_positions
-    for x in xs:
-        if not obj.contains(x):
-            raise ValueError(
-                f"initial position {x} outside domain [{obj.domain_lo}, {obj.domain_hi}]"
-            )
+    xs = _check_start(obj, cfg)
     y = min(xs)
     gap0 = max(xs) - y
     offsets = [x - y for x in xs]
@@ -434,14 +415,6 @@ def reduced_solve(
     else:
         s_end, final_gap = cfg.gap_tol / gap0, cfg.gap_tol
         t_final = math.log(gap0 / cfg.gap_tol) / cfg.lam
-    times: list[float] = []
-    states: list[tuple[float, ...]] = []
-    consensus: list[float] = []
-
-    def record(s: float, y: float, k: float) -> None:
-        times.append(t_final if s == s_end else math.log(1.0 / s) / cfg.lam)
-        states.append(tuple(y + s * d for d in offsets))
-        consensus.append(min(y + s * k, y + s * gap0))
 
     h_min = 7 * (1.0 - s_end) / 400_000
     h_stiff = (1.0 - s_end) / 2500
@@ -455,8 +428,6 @@ def reduced_solve(
     tol = rtol * gap0
     s = 1.0
     k1 = pull(s, y)
-    if record_trajectory:
-        record(s, y, k1)
     n_steps = n_floor_steps = 0
     while s > s_end:
         last = h >= s - s_end
@@ -500,8 +471,6 @@ def reduced_solve(
             tail = s * abs(k7 - d_mean) <= 1.2 * s_new * abs(k1 - d_mean)
             s, y, k1 = s_new, y_new, k7
             n_steps += 1
-            if record_trajectory and (n_steps % cfg.sample_stride == 0 or s == s_end):
-                record(s, y, k1)
             grow = 5.0
         else:
             grow = 1.0
@@ -516,9 +485,6 @@ def reduced_solve(
         final_gap=final_gap,
         stop_reason="gap_converged",
         error_to_minimizer=None if obj.known_minimizer is None else abs(m - obj.known_minimizer),
-        trajectory=Trajectory(tuple(times), tuple(states), tuple(consensus))
-        if record_trajectory
-        else None,
         final_positions=tuple(y + s * d for d in offsets),
         t_final=t_final,
         n_steps=n_steps,
@@ -526,17 +492,11 @@ def reduced_solve(
     )
 
 
-def reduced_two_particle(
-    obj: Objective,
-    cfg: SimConfig,
-    *,
-    rtol: float = 1e-10,
-    record_trajectory: bool = False,
-) -> SimOutcome:
-    """`reduced_solve` for a particle pair."""
+def reduced_two_particle(obj: Objective, cfg: SimConfig, *, rtol: float = 1e-10) -> SimOutcome:
+    """`reduced_solve` for a particle pair; rejects any other count."""
     if len(cfg.initial_positions) != 2:
         raise ValueError("reduced_two_particle needs exactly two initial positions")
-    return reduced_solve(obj, cfg, rtol=rtol, record_trajectory=record_trajectory)
+    return reduced_solve(obj, cfg, rtol=rtol)
 
 
 def trajectory_writer(write, n: int):

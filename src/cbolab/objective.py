@@ -74,8 +74,8 @@ class Objective:
     def width(self) -> float:
         return self.domain_hi - self.domain_lo
 
-    def contains(self, x: float, slack: float = 0.0) -> bool:
-        return self.domain_lo - slack <= x <= self.domain_hi + slack
+    def contains(self, x: float) -> bool:
+        return self.domain_lo <= x <= self.domain_hi
 
 
 # --- builtin families ------------------------------------------------------

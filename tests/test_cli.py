@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -410,7 +411,11 @@ class TestCertifyCommand:
         assert float(value_of(lines, "c1")) == pytest.approx(0.260134, rel=1e-4)
         assert "B(100000) = n/a (alpha <= alpha0)" in out
         assert float(value_of(lines, "B(200000)")) == pytest.approx(0.0142184, rel=1e-4)
-        assert "note:" in out
+        notes = [line for line in lines if line.startswith("note:")]
+        assert len(notes) == 2
+        assert "bound for a particle pair" in notes[1]
+        # summary readers parse every "name = value" line as a number
+        assert not any(" = " in line for line in notes)
 
     def test_certify_plot_data(self, tmp_path, capsys):
         cfg = cfg_file(tmp_path, CERTIFY_DOUBLE_WELL)
@@ -558,6 +563,17 @@ def test_import_loads_no_pool_or_third_party_modules():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert run.stdout.strip() == ""
+
+
+@pytest.mark.parametrize(
+    "module", ["cbolab", "cbolab.dynamics", "cbolab.analysis", "cbolab.objective"]
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    assert set(mod.__all__) <= namespace.keys()
 
 
 def test_csv_gets_the_mode_of_a_plain_write(tmp_path):

@@ -18,7 +18,6 @@ from cbolab.dynamics import (
     reduced_solve,
     reduced_two_particle,
     simulate,
-    step,
     trajectory_csv,
 )
 from cbolab.objective import (
@@ -84,58 +83,6 @@ class TestSimConfig:
         base.update(kwargs)
         with pytest.raises(ValueError, match=needle):
             SimConfig(**base)
-
-
-class TestStep:
-    def test_euler_step_matches_hand_computation(self):
-        # two particles at 0 and 1 under the slope-1 linear objective, alpha=1:
-        # the consensus point is the sigmoid split e^-1/(1+e^-1) and each
-        # particle moves dt * lam * (m - x).
-        obj = linear_obj()
-        cfg = SimConfig(
-            lam=1.0, alpha=1.0, initial_positions=(0.0, 1.0), integrator="euler", dt=0.1
-        )
-        e = math.exp(-1.0)
-        m = math.fsum([(1.0 / (1.0 + e)) * 0.0, (e / (1.0 + e)) * 1.0])
-        assert m == pytest.approx(0.26894142136999512075, rel=1e-15)
-        new = step(obj, cfg, (0.0, 1.0))
-        assert new[0] == 0.0 + 0.1 * (1.0 * (m - 0.0))
-        assert new[1] == 1.0 + 0.1 * (1.0 * (m - 1.0))
-        # the drift velocities themselves
-        assert 1.0 * (m - 0.0) == pytest.approx(0.26894142136999512075, rel=1e-15)
-        assert 1.0 * (m - 1.0) == pytest.approx(-0.73105857863000487925, rel=1e-15)
-
-    def test_coincident_particles_are_a_fixed_point(self):
-        obj = linear_obj()
-        for integ in ("euler", "rk4"):
-            cfg = SimConfig(
-                lam=1.0, alpha=3.0, initial_positions=(0.4, 0.4), integrator=integ
-            )
-            assert step(obj, cfg, (0.4, 0.4)) == [0.4, 0.4]
-
-    def test_rejects_positions_outside_domain(self):
-        obj = linear_obj()
-        cfg = SimConfig(lam=1.0, alpha=1.0, initial_positions=(0.0, 1.0))
-        with pytest.raises(ValueError, match="outside domain"):
-            step(obj, cfg, (0.0, 1.5))
-
-    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
-    def test_step_is_the_first_step_of_simulate(self, integrator):
-        obj = builtin_objective("double-well")
-        cfg = SimConfig(
-            lam=2.0, alpha=30.0, initial_positions=(0.1, 0.5, 0.9),
-            integrator=integrator, dt=0.05, sample_stride=1,
-        )
-        first = simulate(obj, cfg).trajectory.states[1]
-        assert [x.hex() for x in step(obj, cfg, cfg.initial_positions)] == [
-            x.hex() for x in first
-        ]
-
-    def test_police_domain_clamps_rounding_but_rejects_excursions(self):
-        obj = linear_obj()
-        assert _police_domain(obj, [-1e-12, 1.0]) == [0.0, 1.0]
-        with pytest.raises(IntegrationError, match="left the domain"):
-            _police_domain(obj, [-0.5, 1.0])
 
 
 class TestAnalyticGap:
@@ -253,6 +200,33 @@ class TestSimulate:
         with pytest.raises(ValueError, match="outside domain"):
             simulate(obj, cfg)
 
+    def test_euler_step_matches_hand_computation(self):
+        # two particles at 0 and 1 under the slope-1 linear objective, alpha=1:
+        # the consensus point is the sigmoid split e^-1/(1+e^-1) and each
+        # particle moves dt * lam * (m - x).
+        obj = linear_obj()
+        cfg = SimConfig(
+            lam=1.0, alpha=1.0, initial_positions=(0.0, 1.0), integrator="euler", dt=0.1,
+            sample_stride=1,
+        )
+        e = math.exp(-1.0)
+        m = math.fsum([(1.0 / (1.0 + e)) * 0.0, (e / (1.0 + e)) * 1.0])
+        assert m == pytest.approx(0.26894142136999512075, rel=1e-15)
+        traj = simulate(obj, cfg).trajectory
+        assert traj.consensus_values[0] == m
+        new = traj.states[1]
+        assert new[0] == 0.0 + 0.1 * (1.0 * (m - 0.0))
+        assert new[1] == 1.0 + 0.1 * (1.0 * (m - 1.0))
+        # the drift velocities themselves
+        assert 1.0 * (m - 0.0) == pytest.approx(0.26894142136999512075, rel=1e-15)
+        assert 1.0 * (m - 1.0) == pytest.approx(-0.73105857863000487925, rel=1e-15)
+
+    def test_police_domain_clamps_rounding_but_rejects_excursions(self):
+        obj = linear_obj()
+        assert _police_domain(obj, [-1e-12, 1.0]) == [0.0, 1.0]
+        with pytest.raises(IntegrationError, match="left the domain"):
+            _police_domain(obj, [-0.5, 1.0])
+
     def test_non_finite_objective_aborts_the_run(self):
         # a NaN landmine inside the domain poisons the weights and the state;
         # the per-sample uniform-bound check catches it as an IntegrationError
@@ -360,18 +334,12 @@ class TestReducedTwoParticle:
         assert red.final_gap == pytest.approx(1e-12, rel=1e-3)
         assert 0.5 <= red.x_inf_estimate <= 0.5 + 1e-12
 
-    def test_trajectory_times_follow_the_log_map(self):
+    def test_end_time_follows_the_log_map(self):
         obj = linear_obj()
         cfg = SimConfig(lam=2.0, alpha=1.0, initial_positions=(0.0, 1.0))
-        red = reduced_two_particle(obj, cfg, record_trajectory=True)
-        traj = red.trajectory
-        assert traj.times[0] == 0.0
-        assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
-        assert traj.times[-1] == pytest.approx(
-            math.log(1.0 / cfg.gap_tol) / cfg.lam, rel=1e-12
-        )
-        for state, m in zip(traj.states, traj.consensus_values):
-            assert min(state) <= m <= max(state)
+        red = reduced_two_particle(obj, cfg)
+        assert red.t_final == pytest.approx(math.log(1.0 / cfg.gap_tol) / cfg.lam, rel=1e-12)
+        assert red.trajectory is None
 
     def test_validation(self):
         obj = linear_obj()
