@@ -47,11 +47,15 @@ __all__ = [
 # anything larger signals an unstable dt or a bug and aborts the run.
 _DOMAIN_SLACK = 1e-9
 
-# reduced_solve's step floors: a budget of field samples, and the stiffness
-# floors as shares of the s range and, late in the solve, of the ln s range
+# reduced_solve's step floors, as step counts over the s range (or the ln s
+# range): the field-sample budget, the stiffness floor, and the coarser
+# floor that a stiff stretch takes once it has held _STIFF_HOLD steps; and
+# the run of budget-floor steps over tolerance that counts as stiff
 _SAMPLE_BUDGET = 400_000
-_STIFF_SHARE = 1000
-_STIFF_SHARE_LN = 2500
+_STIFF_STEPS = 2500
+_STIFF_STEPS_HELD = 1000
+_STIFF_HOLD = 10
+_CHATTER_STEPS = 50
 
 
 class IntegrationError(RuntimeError):
@@ -398,16 +402,24 @@ def reduced_solve(obj: Objective, cfg: SimConfig, *, rtol: float = 1e-10) -> Sim
     samples (7 per step), nor, where the field pulls solutions together so
     hard that a step at the stiffness floor is unstable, than that floor:
     the pull damps the error made there, so a stiff solve's cost stops
-    growing with alpha. While s is above 50 stiffness floors, 5% of the s
-    range, the floors are 7/400 000 and 1/1000 of the s range; below that
-    they are 7/400 000 and 1/2500 of the ln s range, times the step's end
-    s_new, as floors absolute in s would step over the switch at large
-    alpha. A step at a floor is accepted even over tolerance and counted in
-    n_floor_steps. Against a reference with 100 times finer floors, s-range
-    stiffness shares from 1/2500 to 1/250 kept 540 random configs (alpha
-    1e3 to 1e9) within 2.6e-10 * gap0, bar one that a budget floor step
-    misses at every share, while 1/100 missed one by 3e-3 and an ln s share
-    of 1/1000 missed two kinked tables by 1e-8 and 2e-8.
+    growing with alpha. While s is above 50 stiffness floors, 2% of the s
+    range, the floors are 7/400 000 and 1/2500 of the s range; below that
+    they are the same shares of the ln s range, times the step's end s_new,
+    as floors absolute in s would step over the switch at large alpha. A
+    switch too sharp for the stiffness test to see counts as stiff once 50
+    budget-floor steps in a row end over tolerance. A stiff stretch ends at
+    the first step longer than its floor that comes within tolerance and
+    reads the field no longer stiff; once it has held for 10 steps while s
+    is above 2% of the range, its floor coarsens to 1/1000 of the s range.
+    Brief stiff spells, where a kinked f hands the lead from one particle
+    to another, and mildly stiff stretches keep the fine floor and
+    error-controlled steps: a 6-knot table with N = 5 at alpha = 9.0e6 ends
+    8.8e-6 * gap0 off when every early floor and the stiffness test are
+    1/1000 of the s range. Against a reference with 100 times finer floors,
+    1 090 random and benchmark solves (alpha 1 to 1e9) have as many answers
+    over 1e-9 * gap0 as with the fine floor alone and fewer over 1e-10, for
+    47% fewer objective evaluations. A step at a floor is accepted even
+    over tolerance and counted in n_floor_steps.
     x_inf_estimate is the final consensus point; final_positions keep the
     input order. No trajectory is kept: the outcome's trajectory is None.
     """
@@ -428,11 +440,15 @@ def reduced_solve(obj: Objective, cfg: SimConfig, *, rtol: float = 1e-10) -> Sim
         t_final = math.log(gap0 / cfg.gap_tol) / cfg.lam
 
     h_min = 7 * (1.0 - s_end) / _SAMPLE_BUDGET
-    h_stiff = (1.0 - s_end) / _STIFF_SHARE
+    h_stiff = (1.0 - s_end) / _STIFF_STEPS
+    h_held = (1.0 - s_end) / _STIFF_STEPS_HELD
     # the same budgets spread over ln s, for the floors late in the solve
     k_min = 7 * math.log(1.0 / s_end) / _SAMPLE_BUDGET
-    k_stiff = math.log(1.0 / s_end) / _STIFF_SHARE_LN
+    k_stiff = math.log(1.0 / s_end) / _STIFF_STEPS
     stiff = False
+    held = 0  # steps accepted in the current stiff stretch
+    chatter = 0  # budget-floor steps accepted over tolerance in a row
+    floor = 0.0
     h = h_max = 0.01
     d_mean = math.fsum(offsets) / len(offsets)  # the field at s = 0
     tail = False
@@ -468,16 +484,29 @@ def reduced_solve(obj: Objective, cfg: SimConfig, *, rtol: float = 1e-10) -> Sim
         if not err < math.inf:  # NaN too
             raise IntegrationError(f"reduced solver produced a non-finite state at s={s}")
         # dF/dy at s_new is (k6 - k7) / (y_new - y6), and DP5 is unstable past
-        # h dF/dy = 3.3; only a step within tolerance may clear `stiff`, as an
-        # unstable step's samples can straddle the pull and read it low
+        # h dF/dy = 3.3; only a step within tolerance and longer than the
+        # floor may clear `stiff`: an unstable step's samples can straddle the
+        # pull and read it low, and a floor step whose samples all find the
+        # pull saturated on one side of its switch comes out within tolerance
+        # and reads it flat
         early = s > 50 * h_stiff
         h_test = h_stiff if early else k_stiff * s_new
         dy = y_new - y6
-        if err <= tol or not stiff:
+        if err <= tol and h > floor or not stiff:
             stiff = h_test * (k6 - k7) * dy > 3.3 * dy * dy
-        floor = h_test if stiff else h_min if early else k_min * s_new
+        if stiff:
+            floor = h_held if early and held >= _STIFF_HOLD else h_test
+        else:
+            held = 0
+            floor = h_min if early else k_min * s_new
         if err <= tol or h <= floor:
             n_floor_steps += err > tol
+            held += stiff
+            # a switch too sharp for the stiffness test's two samples to
+            # straddle lets the steps chatter across it at the budget floor
+            chatter = chatter + 1 if err > tol and not stiff else 0
+            if chatter >= _CHATTER_STEPS:
+                stiff, chatter = True, 0
             # past the switch the field closes on d_mean like s
             tail = s * abs(k7 - d_mean) <= 1.2 * s_new * abs(k1 - d_mean)
             s, y, k1 = s_new, y_new, k7

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbolab import dynamics
 from cbolab.analysis import oracle_nparticle_linear_error
 from cbolab.dynamics import (
     IntegrationError,
@@ -490,14 +491,35 @@ class TestReducedSolve:
 
     def test_stiff_pair_cost_does_not_grow_with_alpha(self):
         # where a step at the stiffness floor is unstable the step is held
-        # there: 1/1000 of the s range, and late in the solve 1/2500 of the
-        # ln s range times s, so no alpha needs many more than 1000 steps of
-        # 7 pair fields early and a few hundred late
+        # there: 1/2500 of the s range, coarsened to 1/1000 once the stretch
+        # has held 10 steps, and late in the solve 1/2500 of the ln s range
+        # times s, so no alpha needs many more than 1000 steps of 7 pair
+        # fields early and a few hundred late
         for alpha in (1e5, 1e7, 1e9):
             obj, calls = counting(builtin_objective("double-well"))
             cfg = SimConfig(lam=1.0, alpha=alpha, initial_positions=(0.05, 0.99))
             reduced_solve(obj, cfg)
-            assert calls[0] <= 25_000
+            assert calls[0] <= 20_000
+
+    def test_kinked_table_matches_a_reference_with_finer_floors(self, monkeypatch):
+        # its solve passes a brief stiff spell at s ~ 0.08, where a kink hands
+        # the lead to another particle, and a mildly stiff stretch at s ~ 0.06;
+        # floored at 1/1000 of the s range from their first stiff step, they
+        # leave the answer 8.8e-6 * gap0 off
+        knots = (0.0, 0.8892574529135058, 0.033165590363306796, 0.48099206880664347,
+                 0.03945311523995654, 0.7603473689296663, 0.09699875143991565,
+                 0.00043963214000819484, 0.2024075179964182, 0.0,
+                 1.0, 0.8897768850222663)
+        obj = builtin_objective("custom-table", params=knots)
+        ics = (0.3232584779379777, 0.4618979774396751, 0.19160191830004192,
+               0.653361753814228, 0.07119045685704117)
+        cfg = SimConfig(lam=1.0, alpha=8964737.134036772, initial_positions=ics)
+        red = reduced_solve(obj, cfg)
+        for name in ("_SAMPLE_BUDGET", "_STIFF_STEPS", "_STIFF_STEPS_HELD"):
+            monkeypatch.setattr(dynamics, name, 100 * getattr(dynamics, name))
+        ref = reduced_solve(obj, cfg, rtol=1e-12)
+        gap0 = max(ics) - min(ics)
+        assert abs(red.x_inf_estimate - ref.x_inf_estimate) <= 1e-10 * gap0
 
     def test_smooth_pair_is_cheap_and_never_floored(self):
         # the stiffness test must not flag a smooth pair at the domain ends,
