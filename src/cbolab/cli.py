@@ -79,6 +79,9 @@ def _parse_objective(cp: configparser.ConfigParser) -> Objective:
     if table is not None:
         if name != "custom-table":
             raise ConfigError("objective.table is only valid with name = custom-table")
+        for key in ("domain", "params"):
+            if key in sec:
+                raise ConfigError(f"objective.{key} is not valid with objective.table")
         if not os.path.exists(table):
             raise ConfigError(f"objective.table: file not found: {table}")
         return load_table_csv(table)

@@ -27,16 +27,6 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
-BUILTIN_NAMES = (
-    "linear",
-    "quadratic",
-    "shifted-quadratic",
-    "double-well",
-    "rastrigin1d",
-    "custom-table",
-)
-
-
 @dataclass(frozen=True)
 class Objective:
     """A nonnegative scalar function on the closed interval [domain_lo, domain_hi].
@@ -121,17 +111,63 @@ def _table_eval(knots: tuple[float, ...], values: tuple[float, ...], x: float) -
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
 
-def _resolve_domain(
-    name: str,
-    domain_lo: float | None,
-    domain_hi: float | None,
-    default: tuple[float, float],
-) -> tuple[float, float]:
-    lo = default[0] if domain_lo is None else float(domain_lo)
-    hi = default[1] if domain_hi is None else float(domain_hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
-        raise ValueError(f"{name}: invalid domain [{lo}, {hi}]")
-    return lo, hi
+def _inside(family: str, label: str, v: float, lo: float, hi: float) -> None:
+    if not lo <= v <= hi:
+        raise ValueError(f"{family}: {label} {v} outside [{lo}, {hi}]")
+
+
+def _nonnegative(family: str, label: str, v: float) -> None:
+    if not v >= 0.0:
+        raise ValueError(f"{family}: {label} must be nonnegative, got {v}")
+
+
+# Each builder takes the resolved domain and the family's parameters, checks
+# the family's own rules, and returns the Objective fields it sets.
+
+def _linear(lo: float, hi: float, slope: float) -> dict:
+    if not slope > 0.0:
+        raise ValueError(f"linear: slope must be positive, got {slope}")
+    return dict(eval=partial(_linear_eval, lo, slope), known_minimizer=lo, lipschitz_hint=slope)
+
+
+def _quadratic(lo: float, hi: float, center: float) -> dict:
+    _inside("quadratic", "center", center, lo, hi)
+    return dict(eval=partial(_quadratic_eval, center), known_minimizer=center)
+
+
+def _shifted_quadratic(lo: float, hi: float, center: float, offset: float) -> dict:
+    _inside("shifted-quadratic", "center", center, lo, hi)
+    _nonnegative("shifted-quadratic", "offset", offset)
+    return dict(eval=partial(_shifted_quadratic_eval, center, offset), known_minimizer=center)
+
+
+def _double_well(lo: float, hi: float, side: float, bottom: float, tilt: float) -> dict:
+    _inside("double-well", "side", side, lo, hi)
+    _inside("double-well", "bottom", bottom, lo, hi)
+    if side != bottom and not tilt > 0.0:
+        # tilt = 0 with distinct wells would leave two global minima
+        raise ValueError("double-well: tilt must be positive for distinct wells")
+    _nonnegative("double-well", "tilt", tilt)
+    return dict(eval=partial(_double_well_eval, side, bottom, tilt), known_minimizer=bottom)
+
+
+def _rastrigin(lo: float, hi: float, center: float, amplitude: float) -> dict:
+    _inside("rastrigin1d", "center", center, lo, hi)
+    _nonnegative("rastrigin1d", "amplitude", amplitude)
+    return dict(eval=partial(_rastrigin_eval, center, amplitude), known_minimizer=center)
+
+
+# name -> (default domain, parameter names, their defaults, builder); a
+# default of None stands for the domain midpoint
+_FAMILIES = {
+    "linear": ((0.0, 1.0), ("slope",), (1.0,), _linear),
+    "quadratic": ((0.0, 1.0), ("center",), (0.0,), _quadratic),
+    "shifted-quadratic": ((0.0, 1.0), ("center", "offset"), (None, 1.0), _shifted_quadratic),
+    "double-well": ((0.0, 1.0), ("side", "bottom", "tilt"), (0.25, 0.75, 0.01), _double_well),
+    "rastrigin1d": ((-5.12, 5.12), ("center", "amplitude"), (0.0, 1.0), _rastrigin),
+}
+
+BUILTIN_NAMES = (*_FAMILIES, "custom-table")
 
 
 def builtin_objective(
@@ -148,9 +184,9 @@ def builtin_objective(
       quadratic         center (0.0); f(x) = (x - center)^2
       shifted-quadratic center (domain midpoint), offset (1.0);
                         f(x) = (x - center)^2 + offset
-      double-well       side well (0.25), global well (0.75), tilt (0.01);
+      double-well       side (0.25), bottom (0.75), tilt (0.01);
                         f(x) = (x - side)^2 (x - bottom)^2 + tilt (x - bottom)^2,
-                        unique global minimum at the second well
+                        unique global minimum at the bottom well
       rastrigin1d       center (0.0), amplitude (1.0);
                         f(x) = (x - center)^2 + amplitude (1 - cos 2 pi (x - center))
       custom-table      flattened knot/value pairs x0 f0 x1 f1 ...
@@ -159,114 +195,23 @@ def builtin_objective(
     raises ValueError for parameters that put the minimizer outside the domain.
     """
     params = tuple(float(p) for p in params)
-
-    if name == "linear":
-        lo, hi = _resolve_domain(name, domain_lo, domain_hi, (0.0, 1.0))
-        slope = params[0] if params else 1.0
-        if len(params) > 1:
-            raise ValueError("linear takes at most one parameter (slope)")
-        if not slope > 0.0:
-            raise ValueError(f"linear: slope must be positive, got {slope}")
-        return Objective(
-            domain_lo=lo,
-            domain_hi=hi,
-            eval=partial(_linear_eval, lo, slope),
-            known_minimizer=lo,
-            lipschitz_hint=slope,
-            family="linear",
-            params=(slope,),
-        )
-
-    if name == "quadratic":
-        lo, hi = _resolve_domain(name, domain_lo, domain_hi, (0.0, 1.0))
-        center = params[0] if params else 0.0
-        if len(params) > 1:
-            raise ValueError("quadratic takes at most one parameter (center)")
-        if not lo <= center <= hi:
-            raise ValueError(f"quadratic: center {center} outside [{lo}, {hi}]")
-        return Objective(
-            domain_lo=lo,
-            domain_hi=hi,
-            eval=partial(_quadratic_eval, center),
-            known_minimizer=center,
-            family="quadratic",
-            params=(center,),
-        )
-
-    if name == "shifted-quadratic":
-        lo, hi = _resolve_domain(name, domain_lo, domain_hi, (0.0, 1.0))
-        center = params[0] if len(params) >= 1 else 0.5 * (lo + hi)
-        offset = params[1] if len(params) >= 2 else 1.0
-        if len(params) > 2:
-            raise ValueError("shifted-quadratic takes at most center and offset")
-        if not lo <= center <= hi:
-            raise ValueError(f"shifted-quadratic: center {center} outside [{lo}, {hi}]")
-        if not offset >= 0.0:
-            raise ValueError("shifted-quadratic: offset must be nonnegative")
-        return Objective(
-            domain_lo=lo,
-            domain_hi=hi,
-            eval=partial(_shifted_quadratic_eval, center, offset),
-            known_minimizer=center,
-            family="shifted-quadratic",
-            params=(center, offset),
-        )
-
-    if name == "double-well":
-        lo, hi = _resolve_domain(name, domain_lo, domain_hi, (0.0, 1.0))
-        side = params[0] if len(params) >= 1 else 0.25
-        bottom = params[1] if len(params) >= 2 else 0.75
-        tilt = params[2] if len(params) >= 3 else 0.01
-        if len(params) > 3:
-            raise ValueError("double-well takes at most side, bottom, tilt")
-        for label, w in (("side well", side), ("global well", bottom)):
-            if not lo <= w <= hi:
-                raise ValueError(f"double-well: {label} {w} outside [{lo}, {hi}]")
-        if side != bottom and not tilt > 0.0:
-            # tilt = 0 with distinct wells would leave two global minima
-            raise ValueError("double-well: tilt must be positive for distinct wells")
-        if side == bottom and not tilt >= 0.0:
-            raise ValueError("double-well: tilt must be nonnegative")
-        return Objective(
-            domain_lo=lo,
-            domain_hi=hi,
-            eval=partial(_double_well_eval, side, bottom, tilt),
-            known_minimizer=bottom,
-            family="double-well",
-            params=(side, bottom, tilt),
-        )
-
-    if name == "rastrigin1d":
-        lo, hi = _resolve_domain(name, domain_lo, domain_hi, (-5.12, 5.12))
-        center = params[0] if len(params) >= 1 else 0.0
-        amplitude = params[1] if len(params) >= 2 else 1.0
-        if len(params) > 2:
-            raise ValueError("rastrigin1d takes at most center and amplitude")
-        if not lo <= center <= hi:
-            raise ValueError(f"rastrigin1d: center {center} outside [{lo}, {hi}]")
-        if not amplitude >= 0.0:
-            raise ValueError("rastrigin1d: amplitude must be nonnegative")
-        return Objective(
-            domain_lo=lo,
-            domain_hi=hi,
-            eval=partial(_rastrigin_eval, center, amplitude),
-            known_minimizer=center,
-            family="rastrigin1d",
-            params=(center, amplitude),
-        )
-
     if name == "custom-table":
         if len(params) < 4 or len(params) % 2 != 0:
-            raise ValueError(
-                "custom-table expects flattened pairs x0 f0 x1 f1 ... (at least two)"
-            )
-        knots = params[0::2]
-        values = params[1::2]
+            raise ValueError("custom-table expects flattened pairs x0 f0 x1 f1 ... (at least two)")
         if domain_lo is not None or domain_hi is not None:
             raise ValueError("custom-table derives its domain from the knots")
-        return table_objective(knots, values)
-
-    raise ValueError(f"unknown builtin objective {name!r}; choose from {BUILTIN_NAMES}")
+        return table_objective(params[0::2], params[1::2])
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown builtin objective {name!r}; choose from {BUILTIN_NAMES}")
+    (default_lo, default_hi), names, defaults, build = _FAMILIES[name]
+    lo = default_lo if domain_lo is None else float(domain_lo)
+    hi = default_hi if domain_hi is None else float(domain_hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
+        raise ValueError(f"{name}: invalid domain [{lo}, {hi}]")
+    if len(params) > len(names):
+        raise ValueError(f"{name} takes at most {len(names)} parameter(s): {', '.join(names)}")
+    params += tuple(0.5 * (lo + hi) if d is None else d for d in defaults[len(params):])
+    return Objective(domain_lo=lo, domain_hi=hi, family=name, params=params, **build(lo, hi, *params))
 
 
 def table_objective(knots: Sequence[float], values: Sequence[float]) -> Objective:
@@ -305,25 +250,36 @@ def table_objective(knots: Sequence[float], values: Sequence[float]) -> Objectiv
     )
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def load_table_csv(path: str) -> Objective:
     """Load a two-column (x, f) CSV into a piecewise-linear objective.
 
-    A single header row is allowed and detected by failing to parse as floats.
+    One header row is allowed: a first row whose two fields are both
+    non-numeric. Any other row that does not parse as two floats raises.
     """
     import csv  # imported here: only table objectives read a CSV
 
     knots: list[float] = []
     values: list[float] = []
+    rows = 0
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
+            rows += 1
             if len(row) < 2:
                 raise ValueError(f"{path}: expected two columns, got {row!r}")
             try:
                 x, v = float(row[0]), float(row[1])
             except ValueError:
-                if not knots:  # header row
+                if rows == 1 and not any(map(_is_number, row[:2])):
                     continue
                 raise ValueError(f"{path}: non-numeric row {row!r}") from None
             knots.append(x)

@@ -289,6 +289,28 @@ class TestSimulateCommand:
         # the minimizer is at the kink; the consensus error is about ln2/(alpha*slope)
         assert float(value_of(lines, "error_to_minimizer")) < 0.05
 
+    @pytest.mark.parametrize(
+        "key, line", [("domain", "domain = 0 5"), ("params", "params = 1 2 3")], ids=["domain", "params"]
+    )
+    def test_table_rejects_domain_and_params(self, key, line, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text("x,f\n0.0,1.0\n0.5,0.0\n1.0,1.0\n")
+        text = f"""
+            [objective]
+            name = custom-table
+            table = {table}
+            {line}
+
+            [sim]
+            lambda = 1.0
+            alpha = 20.0
+            positions = 0.5, 1.0
+        """
+        rc = main(["simulate", "--config", cfg_file(tmp_path, text), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"objective.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("full", [False, True], ids=["default-stride", "stride-1"])
     def test_streamed_csv_equals_the_recorded_trajectory(self, full, tmp_path, capsys):
         path = cfg_file(tmp_path, VERIFY_RASTRIGIN)
