@@ -2,10 +2,13 @@
 
 Subcommands: simulate, sweep-alpha, sweep-n, certify, verify. Each reads an
 INI-style config file (sections [objective], [sim], and one per command) and
-writes CSV artifacts plus a short human summary. Exit codes: 0 success,
-1 configuration or validation error, 2 the run completed but did not reach
-its goal (timeout, undefined slope, failed checks), 3 certification rejected
-for lack of curvature at the minimizer.
+writes CSV artifacts plus a short human summary. Two tables declare the
+interface: `_KEYS` holds every config section's keys and the reader of each
+(any other key is an error), and `_COMMANDS` every subcommand's function and
+flags (declared in `_FLAGS`). Exit codes: 0 success, 1 configuration or
+validation error, 2 the run completed but did not reach its goal (timeout,
+undefined slope, failed checks), 3 certification rejected for lack of
+curvature at the minimizer.
 """
 from __future__ import annotations
 
@@ -54,81 +57,97 @@ def _floats(raw: str, field: str) -> tuple[float, ...]:
         raise ConfigError(f"{field}: expected numbers, got {raw!r}") from None
 
 
-def _float(raw: str, field: str) -> float:
+def _ints(raw: str, field: str) -> tuple[int, ...]:
     vals = _floats(raw, field)
-    if len(vals) != 1:
-        raise ConfigError(f"{field}: expected one number, got {raw!r}")
-    return vals[0]
-
-
-def _int(raw: str, field: str) -> int:
-    v = _float(raw, field)
-    if not v.is_integer():  # nor is inf or nan
+    if not all(v.is_integer() for v in vals):  # nor is inf or nan
         raise ConfigError(f"{field} takes integers, got {raw!r}")
-    return int(v)
+    return tuple(int(v) for v in vals)
 
 
-def _parse_objective(cp: configparser.ConfigParser) -> Objective:
-    if not cp.has_section("objective"):
-        raise ConfigError("missing [objective] section")
-    sec = cp["objective"]
-    name = sec.get("name")
-    if not name:
-        raise ConfigError("objective.name is required")
-    table = sec.get("table")
-    if table is not None:
+def _exactly(count: int, reader, what: str):
+    """The reader of `count` values of `reader`; a single value comes unwrapped."""
+    def read(raw: str, field: str):
+        vals = reader(raw, field)
+        if len(vals) != count:
+            raise ConfigError(f"{field}: expected {what}, got {raw!r}")
+        return vals[0] if count == 1 else vals
+    return read
+
+
+def _text(raw: str, field: str) -> str:
+    return raw
+
+
+_float = _exactly(1, _floats, "one number")
+_int = _exactly(1, _ints, "one number")
+
+# Every config section and its keys, each with the reader of its value. The
+# README's config reference documents this table, and a test holds them equal.
+_KEYS = {
+    "objective": {
+        "name": _text, "domain": _exactly(2, _floats, "two numbers"),
+        "params": _floats, "table": _text,
+    },
+    "sim": {
+        "lambda": _float, "alpha": _float, "positions": _floats, "integrator": _text,
+        "dt": _float, "gap_tol": _float, "t_max": _float, "sample_stride": _int,
+    },
+    "sweep-alpha": {"alphas": _floats},
+    "sweep-n": {"alpha": _float, "width": _float, "ns": _ints, "j": _int},
+    "certify": {"grid_n": _int, "alphas": _floats},
+}
+
+# keys whose value goes to a SimConfig or ExperimentConfig field of another name
+_FIELDS = {
+    "sim.lambda": "lam", "sim.positions": "initial_positions",
+    "sweep-n.alpha": "n_alpha", "sweep-n.ns": "counts", "certify.alphas": "certify_alphas",
+}
+
+
+def _section(cp: configparser.ConfigParser, name: str, required: tuple[str, ...] = ()) -> dict:
+    """Read section `name` through `_KEYS` into values keyed by field name. Required
+    keys are checked first; keys copied in from [DEFAULT] are never unknown."""
+    keys = _KEYS[name]
+    if not cp.has_section(name):
+        if required:
+            raise ConfigError(f"missing [{name}] section: {name}.{required[0]} is required")
+        return {}
+    sec = cp[name]
+    for key in required:
+        if key not in sec:
+            raise ConfigError(f"{name}.{key} is required")
+    for key in sec:
+        if key not in keys and key not in cp.defaults():
+            known = ", ".join(keys)
+            raise ConfigError(f"{name}.{key} is not a config key; [{name}] takes {known}")
+    return {
+        _FIELDS.get(f"{name}.{key}", key): read(sec[key], f"{name}.{key}")
+        for key, read in keys.items()
+        if key in sec
+    }
+
+
+def _objective(sec: dict) -> Objective:
+    name = sec["name"]
+    if "table" in sec:
         if name != "custom-table":
             raise ConfigError("objective.table is only valid with name = custom-table")
         for key in ("domain", "params"):
             if key in sec:
                 raise ConfigError(f"objective.{key} is not valid with objective.table")
-        if not os.path.exists(table):
-            raise ConfigError(f"objective.table: file not found: {table}")
-        return load_table_csv(table)
-    lo = hi = None
-    if "domain" in sec:
-        dom = _floats(sec["domain"], "objective.domain")
-        if len(dom) != 2:
-            raise ConfigError(f"objective.domain: expected two numbers, got {sec['domain']!r}")
-        lo, hi = dom
-    params = _floats(sec.get("params", ""), "objective.params")
+        if not os.path.exists(sec["table"]):
+            raise ConfigError(f"objective.table: file not found: {sec['table']}")
+        return load_table_csv(sec["table"])
+    lo, hi = sec.get("domain", (None, None))
     try:
-        return builtin_objective(name, lo, hi, params)
+        return builtin_objective(name, lo, hi, sec.get("params", ()))
     except ValueError as exc:
         raise ConfigError(f"objective: {exc}") from None
 
 
-def _parse_sim(cp: configparser.ConfigParser, require_alpha: bool = True) -> SimConfig:
-    if not cp.has_section("sim"):
-        raise ConfigError("missing [sim] section")
-    sec = cp["sim"]
-    if "lambda" not in sec:
-        raise ConfigError("sim.lambda is required")
-    if "positions" not in sec:
-        raise ConfigError("sim.positions is required")
-    alpha = 0.0
-    if "alpha" in sec:
-        alpha = _float(sec["alpha"], "sim.alpha")
-    elif require_alpha:
-        raise ConfigError("sim.alpha is required")
-    kwargs = {}
-    if "integrator" in sec:
-        kwargs["integrator"] = sec["integrator"].strip()
-    if "dt" in sec:
-        kwargs["dt"] = _float(sec["dt"], "sim.dt")
-    if "gap_tol" in sec:
-        kwargs["gap_tol"] = _float(sec["gap_tol"], "sim.gap_tol")
-    if "t_max" in sec:
-        kwargs["t_max"] = _float(sec["t_max"], "sim.t_max")
-    if "sample_stride" in sec:
-        kwargs["sample_stride"] = _int(sec["sample_stride"], "sim.sample_stride")
+def _sim(fields: dict) -> SimConfig:
     try:
-        return SimConfig(
-            lam=_float(sec["lambda"], "sim.lambda"),
-            alpha=alpha,
-            initial_positions=_floats(sec["positions"], "sim.positions"),
-            **kwargs,
-        )
+        return SimConfig(**fields)
     except ValueError as exc:
         raise ConfigError(f"sim: {exc}") from None
 
@@ -142,53 +161,39 @@ def parse_config(path: str, command: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
 
-    out = ExperimentConfig()
     if command == "sweep-n":
-        if not cp.has_section("sweep-n"):
-            raise ConfigError("missing [sweep-n] section")
-        sec = cp["sweep-n"]
-        for key in ("alpha", "width", "ns"):
-            if key not in sec:
-                raise ConfigError(f"sweep-n.{key} is required")
-        out.n_alpha = _float(sec["alpha"], "sweep-n.alpha")
-        out.width = _float(sec["width"], "sweep-n.width")
-        out.counts = tuple(_int(v, "sweep-n.ns") for v in sec["ns"].replace(",", " ").split())
-        if "j" in sec:
-            out.j = _int(sec["j"], "sweep-n.j")
-        return out
-
-    out.objective = _parse_objective(cp)
-    if command == "simulate" or command == "verify":
-        out.sim = _parse_sim(cp)
-    elif command == "sweep-alpha":
-        if not cp.has_section("sweep-alpha") or "alphas" not in cp["sweep-alpha"]:
-            raise ConfigError("sweep-alpha.alphas is required")
-        out.alphas = _floats(cp["sweep-alpha"]["alphas"], "sweep-alpha.alphas")
-        out.sim = _parse_sim(cp, require_alpha=False)
-        if out.sim.alpha == 0.0 and out.alphas:
-            out.sim = out.sim.with_alpha(out.alphas[0])
-    elif command == "certify":
-        if cp.has_section("certify"):
-            sec = cp["certify"]
-            if "grid_n" in sec:
-                out.grid_n = _int(sec["grid_n"], "certify.grid_n")
-                if out.grid_n < 10:
-                    raise ConfigError(f"certify.grid_n must be an integer >= 10, got {sec['grid_n']!r}")
-            if "alphas" in sec:
-                out.certify_alphas = _floats(sec["alphas"], "certify.alphas")
-    return out
+        return ExperimentConfig(**_section(cp, "sweep-n", ("alpha", "width", "ns")))
+    obj = _objective(_section(cp, "objective", ("name",)))
+    if command == "certify":
+        return ExperimentConfig(objective=obj, **_section(cp, "certify"))
+    if command == "sweep-alpha":
+        alphas = _section(cp, "sweep-alpha", ("alphas",))["alphas"]
+        sim = _section(cp, "sim", ("lambda", "positions"))
+        if not sim.get("alpha"):  # the grid seeds an unset or zero alpha
+            sim["alpha"] = alphas[0] if alphas else 0.0
+        return ExperimentConfig(objective=obj, sim=_sim(sim), alphas=alphas)
+    sim = _section(cp, "sim", ("lambda", "positions", "alpha"))
+    return ExperimentConfig(objective=obj, sim=_sim(sim))
 
 
-def _out_path(out_dir: str, name: str) -> str:
+def _write(out_dir: str, name: str, text: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
+    path = os.path.join(out_dir, name)
+    write_text_atomic(path, text)
+    print(f"wrote {path}")
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: str, full_trajectory: bool) -> int:
+def _csv(header: str, rows) -> str:
+    """A two-column CSV of (a, b) number pairs at full precision."""
+    return "".join([header + "\n"] + [f"{a:.17g},{b:.17g}\n" for a, b in rows])
+
+
+def cmd_simulate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     sim = cfg.sim
-    if full_trajectory:
+    if args.trajectory:
         sim = replace(sim, sample_stride=1)
-    path = _out_path(out_dir, "trajectory.csv")
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "trajectory.csv")
     with open_text_atomic(path) as fh:  # rows stream out as they are sampled
         on_sample = trajectory_writer(fh.write, len(sim.initial_positions))
         out = simulate(cfg.objective, sim, record_trajectory=False, on_sample=on_sample)
@@ -203,34 +208,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, full_trajectory: bool) -> 
     return 0 if out.stop_reason == "gap_converged" else 2
 
 
-def cmd_sweep(cfg: ExperimentConfig, command: str, out_dir: str, jobs: int, emit_plot: bool) -> int:
-    if command == "sweep-alpha":
-        report = sweep_alpha(cfg.objective, cfg.sim, cfg.alphas, jobs=jobs)
-        path = _out_path(out_dir, "sweep_alpha.csv")
-    else:
-        report = sweep_n(cfg.n_alpha, cfg.width, cfg.counts, j=cfg.j, jobs=jobs)
-        path = _out_path(out_dir, "sweep_n.csv")
-    write_text_atomic(path, sweep_csv(report))
-    print(f"wrote {path}")
-    if command == "sweep-n":
-        mismatch = max(abs(r.abs_error - r.bound_upper) for r in report.rows)
-        print(f"max_oracle_mismatch = {mismatch:.6g}")
-    if emit_plot:
-        if command == "sweep-alpha":
-            plot_path = _out_path(out_dir, "sweep_alpha_loglog.csv")
-            lines = ["log10_alpha,log10_abs_error"]
-            for r in report.rows:
-                if r.abs_error > 0.0:
-                    lines.append(
-                        f"{math.log10(r.param_value):.17g},{math.log10(r.abs_error):.17g}"
-                    )
-        else:
-            plot_path = _out_path(out_dir, "sweep_n_plot.csv")
-            lines = ["ln_n,abs_error"]
-            for r in report.rows:
-                lines.append(f"{math.log(r.param_value):.17g},{r.abs_error:.17g}")
-        write_text_atomic(plot_path, "\n".join(lines) + "\n")
-        print(f"wrote {plot_path}")
+def _print_fit(report) -> int:
     if report.fitted_slope is None:
         print("fitted_slope = undefined")
         return 2
@@ -239,7 +217,28 @@ def cmd_sweep(cfg: ExperimentConfig, command: str, out_dir: str, jobs: int, emit
     return 0
 
 
-def cmd_certify(cfg: ExperimentConfig, out_dir: str, emit_plot: bool) -> int:
+def cmd_sweep_alpha(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+    report = sweep_alpha(cfg.objective, cfg.sim, cfg.alphas, jobs=args.jobs)
+    _write(args.out, "sweep_alpha.csv", sweep_csv(report))
+    if args.emit_plot_data:
+        rows = [(math.log10(r.param_value), math.log10(r.abs_error))
+                for r in report.rows if r.abs_error > 0.0]
+        _write(args.out, "sweep_alpha_loglog.csv", _csv("log10_alpha,log10_abs_error", rows))
+    return _print_fit(report)
+
+
+def cmd_sweep_n(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+    report = sweep_n(cfg.n_alpha, cfg.width, cfg.counts, j=cfg.j, jobs=args.jobs)
+    _write(args.out, "sweep_n.csv", sweep_csv(report))
+    mismatch = max(abs(r.abs_error - r.bound_upper) for r in report.rows)
+    print(f"max_oracle_mismatch = {mismatch:.6g}")
+    if args.emit_plot_data:
+        rows = [(math.log(r.param_value), r.abs_error) for r in report.rows]
+        _write(args.out, "sweep_n_plot.csv", _csv("ln_n,abs_error", rows))
+    return _print_fit(report)
+
+
+def cmd_certify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     cert = certify_calyx(cfg.objective, grid_n=cfg.grid_n)
     for name in ("r1", "c1", "C1", "f_star", "f1", "delta", "r2", "c2", "alpha0"):
         print(f"{name} = {getattr(cert, name):.6g}")
@@ -256,15 +255,12 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str, emit_plot: bool) -> int:
             rows.append((a, bound))
         else:
             print(f"B({a:.6g}) = n/a (alpha <= alpha0)")
-    if emit_plot and rows:
-        path = _out_path(out_dir, "certificate_bound.csv")
-        lines = ["alpha,bound"] + [f"{a:.17g},{b:.17g}" for a, b in rows]
-        write_text_atomic(path, "\n".join(lines) + "\n")
-        print(f"wrote {path}")
+    if args.emit_plot_data and rows:
+        _write(args.out, "certificate_bound.csv", _csv("alpha,bound", rows))
     return 0
 
 
-def cmd_verify(cfg: ExperimentConfig) -> int:
+def cmd_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     report = verify_invariants(cfg.objective, cfg.sim)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
@@ -278,47 +274,56 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     return 0 if report.all_passed else 2
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+    return n
+
+
+# Every flag, with its argparse settings. The README's flag table documents
+# this table and _COMMANDS, and a test holds them equal.
+_FLAGS = {
+    "--config": dict(required=True, help="path to the INI config file"),
+    "--out": dict(default=".", help="output directory for CSV artifacts"),
+    "--jobs": dict(type=_positive_int, default=os.cpu_count() or 1,
+                   help="max parallel runs for sweeps"),
+    "--emit-plot-data": dict(action="store_true", help="also write two-column plot files"),
+    "--trajectory": dict(
+        action="store_true",
+        help="record the trajectory at every step instead of the configured stride",
+    ),
+}
+
+# Every subcommand: the function that runs it on the parsed config and
+# arguments, and the flags it accepts.
+_COMMANDS = {
+    "simulate": (cmd_simulate, ("--config", "--out", "--trajectory")),
+    "sweep-alpha": (cmd_sweep_alpha, ("--config", "--out", "--jobs", "--emit-plot-data")),
+    "sweep-n": (cmd_sweep_n, ("--config", "--out", "--jobs", "--emit-plot-data")),
+    "certify": (cmd_certify, ("--config", "--out", "--emit-plot-data")),
+    "verify": (cmd_verify, ("--config",)),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cbolab",
         description="Consensus-based optimization lab: simulate, sweep, certify, verify.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "sweep-alpha", "sweep-n", "certify", "verify"):
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to the INI config file")
-        if name != "verify":
-            p.add_argument("--out", default=".", help="output directory for CSV artifacts")
-        if name in ("sweep-alpha", "sweep-n"):
-            p.add_argument(
-                "--jobs",
-                type=int,
-                default=os.cpu_count() or 1,
-                help="max parallel runs for sweeps",
-            )
-        if name in ("sweep-alpha", "sweep-n", "certify"):
-            p.add_argument(
-                "--emit-plot-data",
-                action="store_true",
-                help="also write two-column plot files",
-            )
-        if name == "simulate":
-            p.add_argument(
-                "--trajectory",
-                action="store_true",
-                help="record the trajectory at every step instead of the configured stride",
-            )
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     args = parser.parse_args(argv)
 
     try:
         cfg = parse_config(args.config, args.command)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args.out, args.trajectory)
-        if args.command in ("sweep-alpha", "sweep-n"):
-            return cmd_sweep(cfg, args.command, args.out, args.jobs, args.emit_plot_data)
-        if args.command == "certify":
-            return cmd_certify(cfg, args.out, args.emit_plot_data)
-        return cmd_verify(cfg)
+        return _COMMANDS[args.command][0](cfg, args)
     except CurvatureError as exc:
         print(f"error: certification rejected: {exc}", file=sys.stderr)
         return 3

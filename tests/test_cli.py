@@ -1,5 +1,7 @@
 import importlib
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -225,6 +227,11 @@ class TestParseConfig:
         cfg = parse_config(cfg_file(tmp_path, CERTIFY_DOUBLE_WELL), "certify")
         assert cfg.grid_n == 10_000
         assert cfg.certify_alphas == (1e5, 2e5, 1e6)
+
+    def test_default_section_keys_are_not_unknown(self, tmp_path):
+        text = "[DEFAULT]\nnote = every section inherits this\n" + textwrap.dedent(SIM_LINEAR)
+        cfg = parse_config(cfg_file(tmp_path, text), "simulate")
+        assert cfg.sim.alpha == 10.0
 
 
 class TestSimulateCommand:
@@ -566,10 +573,70 @@ class TestArgumentErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
 
+    @pytest.mark.parametrize(
+        "argv,text,key,known",
+        [
+            (["simulate"], SIM_LINEAR + "    gap-tol = 1e-3\n", "sim.gap-tol", "gap_tol"),
+            (
+                ["certify", "--emit-plot-data"],
+                "[objective]\nname = double-well\n[certify]\nalpha = 1.5e5 2e5\n",
+                "certify.alpha",
+                "alphas",
+            ),
+        ],
+        ids=["sim-gap-tol", "certify-alpha"],
+    )
+    def test_unknown_config_key_exits_1(self, argv, text, key, known, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(argv + ["--config", cfg_file(tmp_path, text), "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {key} ") and known in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_must_be_positive(self, jobs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-n", "--config", "cfg.ini", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "argument --jobs" in capsys.readouterr().err
+
     def test_bad_config_path_exits_1(self, capsys):
         rc = main(["simulate", "--config", "/nonexistent/cfg.ini"])
         assert rc == 1
         assert "not found" in capsys.readouterr().err
+
+
+def readme_table(header):
+    """The backticked names in each cell of the README table with this header row."""
+    lines = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    rows = []
+    for line in lines[lines.index(header) + 2:]:
+        if not line.startswith("|"):
+            return rows
+        rows.append([re.findall(r"`([^`]+)`", cell) for cell in line.strip("|").split("|")])
+    return rows
+
+
+def test_readme_config_reference_names_every_key():
+    documented, section = {}, None
+    for cells in readme_table("| section | key | meaning |"):
+        section = cells[0][0].strip("[]") if cells[0] else section
+        documented.setdefault(section, set()).update(cells[1])
+    assert documented == {name: set(keys) for name, keys in cbolab.cli._KEYS.items()}
+
+
+def test_readme_flag_table_names_every_flag():
+    documented = {
+        cells[0][0].split()[0]: set(cells[1])
+        for cells in readme_table("| flag | subcommands | meaning |")
+    }
+    declared = {}
+    for command, (_, flags) in cbolab.cli._COMMANDS.items():
+        for flag in flags:
+            declared.setdefault(flag, set()).add(command)
+    assert documented == declared
 
 
 def test_import_loads_no_pool_or_third_party_modules():
