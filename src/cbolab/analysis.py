@@ -36,7 +36,6 @@ __all__ = [
     "SweepReport",
     "sweep_alpha",
     "sweep_n",
-    "sweep_csv",
     "InvariantCheck",
     "VerifyReport",
     "verify_invariants",
@@ -413,31 +412,6 @@ def sweep_n(alpha: float, width: float, counts, j: int = 1, jobs: int = 1) -> Sw
         lambda n: (oracle_nparticle_linear_error(alpha, n, j, width),) * 2, jobs,
         log_error=False,
     )
-
-
-def sweep_csv(report: SweepReport) -> str:
-    """CSV text for a sweep: fixed header, 17 significant digits, slope footer."""
-
-    def cell(v: float | None) -> str:
-        return "nan" if v is None else f"{v:.17g}"
-
-    lines = ["param,x_inf,abs_error,bound_lower,bound_upper"]
-    for r in report.rows:
-        lines.append(
-            ",".join(
-                (
-                    f"{r.param_value:.17g}",
-                    f"{r.x_inf:.17g}",
-                    f"{r.abs_error:.17g}",
-                    cell(r.bound_lower),
-                    cell(r.bound_upper),
-                )
-            )
-        )
-    lines.append(
-        f"# fitted_slope={cell(report.fitted_slope)} slope_stderr={cell(report.slope_stderr)}"
-    )
-    return "\n".join(lines) + "\n"
 
 
 # --- invariant verification --------------------------------------------------

@@ -2,13 +2,15 @@
 
 Subcommands: simulate, sweep-alpha, sweep-n, certify, verify. Each reads an
 INI-style config file (sections [objective], [sim], and one per command) and
-writes CSV artifacts plus a short human summary. Two tables declare the
+writes CSV artifacts plus a short human summary. Every CSV format is here:
+`_csv`, `sweep_csv` and `trajectory_csv` write the records that the solvers
+and sweeps return, each number at `_NUMBER`. Two tables declare the
 interface: `_KEYS` holds every config section's keys and the reader of each
-(any other key is an error), and `_COMMANDS` every subcommand's function and
-flags (declared in `_FLAGS`). Exit codes: 0 success, 1 configuration or
-validation error, 2 the run completed but did not reach its goal (timeout,
-undefined slope, failed checks), 3 certification rejected for lack of
-curvature at the minimizer.
+(any other section or key is an error), and `_COMMANDS` every subcommand's
+function and flags (declared in `_FLAGS`). Exit codes: 0 success, 1
+configuration or validation error, 2 the run completed but did not reach its
+goal (timeout, undefined slope, failed checks), 3 certification rejected for
+lack of curvature at the minimizer.
 """
 from __future__ import annotations
 
@@ -17,20 +19,14 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 from ._files import open_text_atomic, write_text_atomic
-from .analysis import (
-    CurvatureError,
-    certify_calyx,
-    sweep_alpha,
-    sweep_csv,
-    sweep_n,
-    verify_invariants,
-)
-from .dynamics import IntegrationError, SimConfig, simulate, trajectory_writer
-from .dynamics import trajectory_csv  # unused; perfbench's tracer patches it
+from .analysis import CurvatureError, certify_calyx, sweep_alpha, sweep_n, verify_invariants
+from .dynamics import IntegrationError, SimConfig, simulate
 from .objective import Objective, builtin_objective, load_table_csv
+
+_NUMBER = "%.17g"  # every number in every CSV: 17 significant digits round-trip a float
 
 
 class ConfigError(ValueError):
@@ -160,6 +156,10 @@ def parse_config(path: str, command: str) -> ExperimentConfig:
         cp.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
+    for name in cp.sections():  # [DEFAULT] is not among them
+        if name not in _KEYS:
+            known = ", ".join(_KEYS)
+            raise ConfigError(f"[{name}] is not a config section; the sections are {known}")
 
     if command == "sweep-n":
         return ExperimentConfig(**_section(cp, "sweep-n", ("alpha", "width", "ns")))
@@ -183,9 +183,33 @@ def _write(out_dir: str, name: str, text: str) -> None:
     print(f"wrote {path}")
 
 
+def _row(header: str) -> str:
+    """The line template of a row of numbers under header."""
+    return ",".join([_NUMBER] * (header.count(",") + 1)) + "\n"
+
+
 def _csv(header: str, rows) -> str:
-    """A two-column CSV of (a, b) number pairs at full precision."""
-    return "".join([header + "\n"] + [f"{a:.17g},{b:.17g}\n" for a, b in rows])
+    """CSV text: the header, then one line per row of numbers."""
+    row = _row(header)
+    return "".join([header + "\n"] + [row % r for r in rows])
+
+
+def sweep_csv(report) -> str:
+    """A sweep's rows, then a footer with its fit; nan stands for a missing value."""
+    nan = lambda v: math.nan if v is None else v
+    rows = [tuple(map(nan, astuple(r))) for r in report.rows]
+    fit = (nan(report.fitted_slope), nan(report.slope_stderr))
+    footer = f"# fitted_slope={_NUMBER} slope_stderr={_NUMBER}\n" % fit
+    return _csv("param,x_inf,abs_error,bound_lower,bound_upper", rows) + footer
+
+
+def trajectory_csv(write, n: int):
+    """Write the header t, x_1..x_n, m, gap_max and return the `simulate`
+    on_sample hook that writes each sample's row."""
+    header = "t," + "".join(f"x_{i + 1}," for i in range(n)) + "m,gap_max"
+    write(header + "\n")
+    row = _row(header)
+    return lambda t, xs, m: write(row % (t, *xs, m, max(xs) - min(xs)))
 
 
 def cmd_simulate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
@@ -195,7 +219,7 @@ def cmd_simulate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "trajectory.csv")
     with open_text_atomic(path) as fh:  # rows stream out as they are sampled
-        on_sample = trajectory_writer(fh.write, len(sim.initial_positions))
+        on_sample = trajectory_csv(fh.write, len(sim.initial_positions))
         out = simulate(cfg.objective, sim, record_trajectory=False, on_sample=on_sample)
     print(f"x_inf_estimate = {out.x_inf_estimate:.6g}")
     if out.error_to_minimizer is not None:
@@ -255,7 +279,7 @@ def cmd_certify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
             rows.append((a, bound))
         else:
             print(f"B({a:.6g}) = n/a (alpha <= alpha0)")
-    if args.emit_plot_data and rows:
+    if args.emit_plot_data:  # header alone when no alpha is above alpha0
         _write(args.out, "certificate_bound.csv", _csv("alpha,bound", rows))
     return 0
 

@@ -19,6 +19,9 @@ stable pass over the particles that never exponentiates a positive number.
 One stepping routine, `_advance`, takes `simulate`'s steps. It starts from
 the consensus point the caller has taken, so `simulate` takes each state's
 consensus point once, for its sample and the step that leaves it.
+
+Runs return records and know no file format; `cli` writes a trajectory's
+CSV from `simulate`'s on_sample hook.
 """
 from __future__ import annotations
 
@@ -39,8 +42,6 @@ __all__ = [
     "reduced_two_particle",
     "analytic_gap",
     "gap_decay_tolerance",
-    "trajectory_writer",
-    "trajectory_csv",
 ]
 
 # Explicit steps can leave the objective's domain by rounding-level amounts;
@@ -537,20 +538,3 @@ def reduced_two_particle(obj: Objective, cfg: SimConfig, *, rtol: float = 1e-10)
     if len(cfg.initial_positions) != 2:
         raise ValueError("reduced_two_particle needs exactly two initial positions")
     return reduced_solve(obj, cfg, rtol=rtol)
-
-
-def trajectory_writer(write, n: int):
-    """Write the CSV header t, x_1..x_n, m, gap_max and return the on_sample
-    hook that writes each sample's row, at 17 significant digits."""
-    write("t," + ",".join(f"x_{i + 1}" for i in range(n)) + ",m,gap_max\n")
-    row = ",".join(["%.17g"] * (n + 3)) + "\n"
-    return lambda t, xs, m: write(row % (t, *xs, m, max(xs) - min(xs)))
-
-
-def trajectory_csv(traj: Trajectory) -> str:
-    """The CSV text that `trajectory_writer` streams, for a recorded trajectory."""
-    parts: list[str] = []
-    row = trajectory_writer(parts.append, len(traj.states[0]) if traj.states else 0)
-    for sample in zip(traj.times, traj.states, traj.consensus_values):
-        row(*sample)
-    return "".join(parts)

@@ -192,7 +192,8 @@ def builtin_objective(
       custom-table      flattened knot/value pairs x0 f0 x1 f1 ...
 
     Every builtin has f >= 0 on its domain, a populated known_minimizer, and
-    raises ValueError for parameters that put the minimizer outside the domain.
+    raises ValueError for parameters that put the minimizer outside the domain,
+    and for a domain at either end of which f is not a finite number.
     """
     params = tuple(float(p) for p in params)
     if name == "custom-table":
@@ -211,7 +212,15 @@ def builtin_objective(
     if len(params) > len(names):
         raise ValueError(f"{name} takes at most {len(names)} parameter(s): {', '.join(names)}")
     params += tuple(0.5 * (lo + hi) if d is None else d for d in defaults[len(params):])
-    return Objective(domain_lo=lo, domain_hi=hi, family=name, params=params, **build(lo, hi, *params))
+    fields = build(lo, hi, *params)
+    for x in (lo, hi):  # an Objective is finite on its domain, so at both ends
+        try:
+            finite = math.isfinite(fields["eval"](x))
+        except (ValueError, OverflowError):
+            finite = False
+        if not finite:
+            raise ValueError(f"{name}: f({x}) is not finite on the domain [{lo}, {hi}]")
+    return Objective(domain_lo=lo, domain_hi=hi, family=name, params=params, **fields)
 
 
 def table_objective(knots: Sequence[float], values: Sequence[float]) -> Objective:

@@ -15,10 +15,10 @@ from cbolab.analysis import (
     oracle_nparticle_linear_error,
     oracle_quadratic_bounds,
     sweep_alpha,
-    sweep_csv,
     sweep_n,
     verify_invariants,
 )
+from cbolab.cli import sweep_csv
 from cbolab.dynamics import SimConfig, reduced_two_particle, simulate
 from cbolab.objective import Objective, builtin_objective
 

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import os
 import pathlib
@@ -13,8 +14,8 @@ import pytest
 import cbolab
 import cbolab.cli
 from cbolab._files import write_text_atomic
-from cbolab.cli import ConfigError, main, parse_config
-from cbolab.dynamics import IntegrationError, simulate, trajectory_csv
+from cbolab.cli import ConfigError, main, parse_config, trajectory_csv
+from cbolab.dynamics import IntegrationError, simulate
 
 SIM_LINEAR = """
     [objective]
@@ -79,6 +80,15 @@ def value_of(lines, key):
         if line.startswith(key + " = "):
             return line.split(" = ", 1)[1]
     raise AssertionError(f"no line for {key!r} in {lines}")
+
+
+def trajectory_text(traj):
+    """The CSV text that the CLI streams, for a recorded trajectory."""
+    parts = []
+    row = trajectory_csv(parts.append, len(traj.states[0]))
+    for sample in zip(traj.times, traj.states, traj.consensus_values):
+        row(*sample)
+    return "".join(parts)
 
 
 class TestParseConfig:
@@ -325,7 +335,7 @@ class TestSimulateCommand:
         capsys.readouterr()
         cfg = parse_config(path, "simulate")
         sim = replace(cfg.sim, sample_stride=1) if full else cfg.sim
-        want = trajectory_csv(simulate(cfg.objective, sim).trajectory)
+        want = trajectory_text(simulate(cfg.objective, sim).trajectory)
         assert (tmp_path / "trajectory.csv").read_bytes() == want.encode()
 
     def test_memory_does_not_grow_with_rows(self, tmp_path, capsys):
@@ -455,6 +465,15 @@ class TestCertifyCommand:
         rows = (tmp_path / "out" / "certificate_bound.csv").read_text().strip().split("\n")
         assert rows[0] == "alpha,bound"
         assert len(rows) == 3  # the alpha below alpha0 is skipped
+
+    def test_plot_data_replaces_the_last_run_even_with_no_rows(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for alphas in ("1e7", "1"):  # above alpha0, then below it
+            text = f"[objective]\nname = double-well\n[certify]\nalphas = {alphas}\n"
+            cfg = cfg_file(tmp_path, text)
+            assert main(["certify", "--config", cfg, "--out", str(out), "--emit-plot-data"]) == 0
+        assert "B(1) = n/a (alpha <= alpha0)" in capsys.readouterr().out
+        assert (out / "certificate_bound.csv").read_text() == "alpha,bound\n"
 
     def test_flat_curvature_exits_3(self, tmp_path, capsys):
         text = """
@@ -595,6 +614,18 @@ class TestArgumentErrors:
         assert captured.err.startswith(f"error: {key} ") and known in captured.err
         assert not out.exists()
 
+    def test_unknown_config_section_exits_1(self, tmp_path, capsys):
+        text = "[objective]\nname = double-well\n[certfy]\ngrid_n = 5\nalphas = 2e5\n"
+        out = tmp_path / "out"
+        rc = main(["certify", "--emit-plot-data", "--config", cfg_file(tmp_path, text),
+                   "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [certfy] ")
+        assert all(name in captured.err for name in cbolab.cli._KEYS)
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_must_be_positive(self, jobs, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -606,6 +637,103 @@ class TestArgumentErrors:
         rc = main(["simulate", "--config", "/nonexistent/cfg.ini"])
         assert rc == 1
         assert "not found" in capsys.readouterr().err
+
+
+# The README's example configs, each command run on them, and the SHA-256 of
+# its stdout and of every file it writes. A change to any artifact byte, to a
+# header, a digit or a `nan`, fails here. The digests rest on the platform's
+# libm bits, as the float.hex catalogue in test_objective.py does.
+README_CONFIGS = {
+    "sim.ini": """
+        [objective]
+        name = linear
+        domain = 0 1
+
+        [sim]
+        lambda = 1.0
+        alpha = 10
+        positions = 0.0 1.0
+        integrator = rk4
+        dt = 1e-3
+        gap_tol = 1e-10
+    """,
+    "sweep.ini": """
+        [objective]
+        name = quadratic
+        domain = -1 1
+
+        [sim]
+        lambda = 1.0
+        positions = 0.0 0.8
+
+        [sweep-alpha]
+        alphas = 1e1 1e2 1e3 1e4
+    """,
+    "sweepn.ini": """
+        [sweep-n]
+        alpha = 5.0
+        width = 1.0
+        ns = 2 4 8 16 32
+        j = 1
+    """,
+    "cert.ini": """
+        [objective]
+        name = double-well
+        domain = 0 1
+
+        [certify]
+        grid_n = 10000
+        alphas = 1.5e5 2e5 4e5
+    """,
+}
+
+SIMULATE_STDOUT = "bf4304308f9bc97fee5ec4ab107eb81adb624b3c5e8cf27898e5d8b5f9bf979d"
+SWEEP_N_DIGESTS = {
+    "stdout": "56442133fa137c3004b0a600307f170100fb0e213acb65ad55dde02d5afe5d2a",
+    "sweep_n.csv": "fd1768e06dcff68c4c9b9330cb4df31b089ce2fc1c74e5cbdaa2285371b802f3",
+    "sweep_n_plot.csv": "d1e178a7dd0c9099f364a36019240581095ff53e2883375f4c2c58a77b952d91",
+}
+
+
+@pytest.mark.parametrize(
+    "argv,digests",
+    [
+        (["simulate", "--config", "sim.ini"], {
+            "stdout": SIMULATE_STDOUT,
+            "trajectory.csv": "e716ef83443270aaddfee572579970345c7e5fcebe2da040d94cef1bd75387bd",
+        }),
+        (["simulate", "--config", "sim.ini", "--trajectory"], {
+            "stdout": SIMULATE_STDOUT,
+            "trajectory.csv": "a3e4f913ee1e970da058525f1427357593036ee3fa563a958d5d39a888f17080",
+        }),
+        (["sweep-alpha", "--config", "sweep.ini", "--emit-plot-data", "--jobs", "1"], {
+            "stdout": "d23dc3e1796664508b7b917c45ed6a3ced35bd68fe5ff876a1b78dcea9cdca23",
+            "sweep_alpha.csv": "f8574a8ad56f4dbb02f549bb775560be7caf23053537de6873a65cd3cb39ed0d",
+            "sweep_alpha_loglog.csv":
+                "864d1c342d735635f20ee6f08d32c8f937b38b7515268bb50237d4c5c67e8248",
+        }),
+        (["sweep-n", "--config", "sweepn.ini", "--emit-plot-data", "--jobs", "1"],
+         SWEEP_N_DIGESTS),
+        (["sweep-n", "--config", "sweepn.ini", "--emit-plot-data", "--jobs", "2"],
+         SWEEP_N_DIGESTS),
+        (["certify", "--config", "cert.ini", "--emit-plot-data"], {
+            "stdout": "ccaf52c84dca96d68da1b190ebaeeb0ca821fa07b00e37d5a1b88a43e01b6d23",
+            "certificate_bound.csv":
+                "366f4d1d7bbcb1b577fc56cbb982a0b19560f5d5b97054b22f74107e084b22e0",
+        }),
+    ],
+    ids=["simulate", "simulate-trajectory", "sweep-alpha", "sweep-n-jobs1", "sweep-n-jobs2",
+         "certify"],
+)
+def test_readme_configs_write_pinned_bytes(argv, digests, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # stdout names the relative --out path
+    for name, text in README_CONFIGS.items():
+        cfg_file(tmp_path, text, name)
+    assert main(argv + ["--out", "out"]) == 0
+    got = {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    for path in (tmp_path / "out").iterdir():
+        got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == digests
 
 
 def readme_table(header):

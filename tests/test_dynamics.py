@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cbolab import dynamics
 from cbolab.analysis import oracle_nparticle_linear_error
+from cbolab.cli import trajectory_csv
 from cbolab.dynamics import (
     IntegrationError,
     SimConfig,
@@ -19,7 +20,6 @@ from cbolab.dynamics import (
     reduced_solve,
     reduced_two_particle,
     simulate,
-    trajectory_csv,
 )
 from cbolab.objective import (
     BUILTIN_NAMES,
@@ -39,6 +39,15 @@ EXP_NEG_1 = 0.3678794411714423216
 
 def linear_obj():
     return builtin_objective("linear")
+
+
+def trajectory_text(traj):
+    """The CSV text that the CLI streams, for a recorded trajectory."""
+    parts = []
+    row = trajectory_csv(parts.append, len(traj.states[0]))
+    for sample in zip(traj.times, traj.states, traj.consensus_values):
+        row(*sample)
+    return "".join(parts)
 
 
 class TestSimConfig:
@@ -543,7 +552,7 @@ class TestTrajectoryHelpers:
 
     def test_csv_layout(self):
         traj = self._toy_traj()
-        text = trajectory_csv(traj)
+        text = trajectory_text(traj)
         lines = text.strip().split("\n")
         assert lines[0] == "t,x_1,x_2,m,gap_max"
         assert len(lines) == 4
@@ -554,7 +563,7 @@ class TestTrajectoryHelpers:
         obj = linear_obj()
         cfg = SimConfig(lam=1.0, alpha=3.0, initial_positions=(0.0, 1.0), t_max=0.5)
         out = simulate(obj, cfg)
-        text = trajectory_csv(out.trajectory)
+        text = trajectory_text(out.trajectory)
         rows = text.strip().split("\n")[1:]
         for row, t, state, m in zip(
             rows, out.trajectory.times, out.trajectory.states, out.trajectory.consensus_values

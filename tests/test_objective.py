@@ -212,6 +212,12 @@ class TestBuiltinCatalog:
         assert obj.eval(1.0) == pytest.approx(1.0)
         assert obj.eval(0.5) == pytest.approx(0.25 + 2.0)
 
+    @pytest.mark.parametrize("name", sorted(PARAM_NAMES))
+    def test_domain_where_the_family_overflows_is_rejected(self, name):
+        # quadratic is inf at the ends; rastrigin1d's cos raises a bare ValueError
+        with pytest.raises(ValueError, match=f"^{name}: .* not finite"):
+            builtin_objective(name, -1e308, 1e308)
+
     def test_param_count_validation(self):
         with pytest.raises(ValueError):
             builtin_objective("quadratic", params=(0.0, 1.0))
